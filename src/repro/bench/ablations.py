@@ -27,7 +27,7 @@ from repro.bench.recording import BenchScale, RunRecord
 from repro.core.solver import HunIPUSolver
 from repro.data.synthetic import gaussian_instance
 from repro.ipu.codelets import Codelet, CostContext
-from repro.ipu.graph import ComputeGraph, Connection
+from repro.ipu.graph import ComputeGraph, Connection, exchange_account
 from repro.ipu.mapping import TileMapping
 from repro.ipu.spec import IPUSpec
 
@@ -83,7 +83,7 @@ def mapping_exchange_bytes(
                     "out": Connection(sums, row, row + 1),
                 },
             )
-    return sum(vertex.exchange_bytes() for vertex in compute_set.vertices)
+    return exchange_account(compute_set.vertices, tiles_per_ipu=None).total
 
 
 def run_ablations(

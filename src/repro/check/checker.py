@@ -41,6 +41,8 @@ from __future__ import annotations
 import bisect
 import dataclasses
 
+import numpy as np
+
 from repro.check.report import CheckReport, Diagnostic
 from repro.ipu.graph import ComputeGraph, ComputeSet
 from repro.ipu.programs import Program
@@ -134,12 +136,7 @@ def check_graph(
 def _owning_tile(connection, position: int) -> int | None:
     """Tile holding flat element ``position`` of the connection's tensor."""
     mapping = connection.tensor.mapping
-    if mapping is None:
-        return None
-    for interval in mapping.intervals:
-        if interval.start <= position < interval.stop:
-            return interval.tile
-    return None
+    return None if mapping is None else mapping.tile_of(position)
 
 
 def _check_races(compute_set: ComputeSet) -> list[Diagnostic]:
@@ -413,16 +410,14 @@ def _check_dynamic_ops(compute_set: ComputeSet) -> list[Diagnostic]:
             mapping = connection.tensor.mapping
             if mapping is None:
                 continue
-            foreign = 0
-            first_foreign: tuple[int, int] | None = None
-            for interval in mapping.intervals:
-                lo = max(interval.start, connection.start)
-                hi = min(interval.stop, connection.stop)
-                if hi > lo and interval.tile != vertex.tile:
-                    foreign += hi - lo
-                    if first_foreign is None:
-                        first_foreign = (lo, hi)
-            if foreign:
+            first = int(np.searchsorted(mapping.stops, connection.start, "right"))
+            last = int(np.searchsorted(mapping.starts, connection.stop, "left"))
+            remote = np.flatnonzero(mapping.tiles[first:last] != vertex.tile)
+            if remote.size:
+                lo = np.maximum(mapping.starts[first + remote], connection.start)
+                hi = np.minimum(mapping.stops[first + remote], connection.stop)
+                foreign = int((hi - lo).sum())
+                first_foreign = (int(lo[0]), int(hi[0]))
                 diagnostics.append(
                     Diagnostic(
                         code="C4.NONLOCAL",

@@ -33,10 +33,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.check.checker import CheckConfig
     from repro.check.report import CheckReport
 from repro.ipu.codelets import Codelet, CostContext
-from repro.ipu.graph import ComputeGraph, ComputeSet, Connection, Vertex
+from repro.ipu.graph import ComputeGraph, ComputeSet, Connection, Vertex, exchange_account
 from repro.ipu.programs import Copy, Program
 from repro.ipu.spec import IPUSpec
 from repro.ipu.tensor import Tensor
+from repro.obs.spans import child_span
 
 __all__ = ["FieldPlan", "ExecutionPlan", "CompiledGraph", "compile_graph"]
 
@@ -282,16 +283,19 @@ def compile_graph(
     memory_per_tile = _check_memory(graph)
     _check_copies(program)
     plans: dict[int, ExecutionPlan] = {}
-    for compute_set in _reachable_compute_sets(graph, program):
-        _check_vertices(graph, compute_set, spec)
-        _check_write_overlaps(compute_set)
-        plans[compute_set.cs_id] = _build_plan(compute_set, spec)
+    compute_sets = _reachable_compute_sets(graph, program)
+    with child_span("compile.plans", compute_sets=len(compute_sets)):
+        for compute_set in compute_sets:
+            _check_vertices(graph, compute_set, spec)
+            _check_write_overlaps(compute_set)
+            plans[compute_set.cs_id] = _build_plan(compute_set, spec)
     cost = CostContext(threads_per_tile=spec.threads_per_tile)
     check_report = None
     if check != "off":
         from repro.check.checker import check_graph as run_check
 
-        check_report = run_check(graph, program, check_config)
+        with child_span("compile.check"):
+            check_report = run_check(graph, program, check_config)
         for diagnostic in check_report.diagnostics:
             logger.warning("constraint check: %s", diagnostic.format())
         if check == "strict":
@@ -426,42 +430,33 @@ def _build_plan(compute_set: ComputeSet, spec: IPUSpec) -> ExecutionPlan:
 def _build_plan_inner(compute_set: ComputeSet, spec: IPUSpec) -> ExecutionPlan:
     vertices = compute_set.vertices
     tiles_per_ipu = spec.num_tiles if spec.num_ipus > 1 else None
-    splits = [vertex.exchange_bytes_split(tiles_per_ipu) for vertex in vertices]
-    exchange_bytes = sum(total for total, _ in splits)
-    inter_ipu_bytes = sum(inter for _, inter in splits)
-    exchange_by_tensor: dict[str, int] = {}
-    for vertex in vertices:
-        for tensor_name, moved in vertex.exchange_bytes_by_tensor().items():
-            exchange_by_tensor[tensor_name] = (
-                exchange_by_tensor.get(tensor_name, 0) + moved
-            )
+    account = exchange_account(vertices, tiles_per_ipu)
     vertex_tiles = np.array([vertex.tile for vertex in vertices], dtype=np.int64)
-    worker_slots = _assign_worker_slots(vertex_tiles, spec.threads_per_tile)
+
+    def plan(codelet, field_plans, param_arrays) -> ExecutionPlan:
+        return ExecutionPlan(
+            compute_set,
+            codelet,
+            field_plans,
+            param_arrays,
+            vertex_tiles,
+            account.total,
+            account.inter_ipu,
+            _assign_worker_slots(vertex_tiles, spec.threads_per_tile),
+            account.by_tensor,
+        )
 
     codelet_names = {vertex.codelet.name for vertex in vertices}
     if len(codelet_names) != 1:
-        return ExecutionPlan(
-            compute_set, None, {}, {}, vertex_tiles, exchange_bytes,
-            inter_ipu_bytes, worker_slots, exchange_by_tensor,
-        )
+        return plan(None, {}, {})
     codelet = vertices[0].codelet
 
     field_plans: dict[str, FieldPlan] = {}
     for field, direction in codelet.fields.items():
-        plan = _plan_field(vertices, field, direction)
-        if plan is None:
-            return ExecutionPlan(
-                compute_set,
-                None,
-                {},
-                {},
-                vertex_tiles,
-                exchange_bytes,
-                inter_ipu_bytes,
-                worker_slots,
-                exchange_by_tensor,
-            )
-        field_plans[field] = plan
+        field_plan = _plan_field(vertices, field, direction)
+        if field_plan is None:
+            return plan(None, {}, {})
+        field_plans[field] = field_plan
 
     param_names: set[str] = set()
     for vertex in vertices:
@@ -472,17 +467,7 @@ def _build_plan_inner(compute_set: ComputeSet, spec: IPUSpec) -> ExecutionPlan:
         )
         for name in sorted(param_names)
     }
-    return ExecutionPlan(
-        compute_set,
-        codelet,
-        field_plans,
-        param_arrays,
-        vertex_tiles,
-        exchange_bytes,
-        inter_ipu_bytes,
-        worker_slots,
-        exchange_by_tensor,
-    )
+    return plan(codelet, field_plans, param_arrays)
 
 
 def _plan_field(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -22,7 +22,14 @@ from repro.ipu.mapping import TileMapping
 from repro.ipu.spec import IPUSpec
 from repro.ipu.tensor import Tensor
 
-__all__ = ["Connection", "Vertex", "ComputeSet", "ComputeGraph"]
+__all__ = [
+    "Connection",
+    "Vertex",
+    "ExchangeAccount",
+    "exchange_account",
+    "ComputeSet",
+    "ComputeGraph",
+]
 
 _graph_ids = itertools.count()
 
@@ -84,8 +91,7 @@ class Vertex:
         written back (outputs) through the exchange.  This is the static
         quantity the Poplar compiler plans ahead of time.
         """
-        total, _ = self.exchange_bytes_split(tiles_per_ipu=None)
-        return total
+        return exchange_account((self,), tiles_per_ipu=None).total
 
     def exchange_bytes_split(
         self, tiles_per_ipu: int | None
@@ -96,49 +102,63 @@ class Vertex:
         a different chip than the vertex (chip = ``tile // tiles_per_ipu``);
         pass ``None`` for single-IPU accounting (inter is then 0).
         """
-        total = 0
-        inter = 0
-        own_chip = None if tiles_per_ipu is None else self.tile // tiles_per_ipu
-        for connection in self.connections.values():
-            mapping = connection.tensor.require_mapping()
-            itemsize = connection.tensor.dtype.itemsize
-            for interval in mapping.intervals:
-                overlap = min(interval.stop, connection.stop) - max(
-                    interval.start, connection.start
-                )
-                if overlap > 0 and interval.tile != self.tile:
-                    moved = overlap * itemsize
-                    total += moved
-                    if (
-                        own_chip is not None
-                        and interval.tile // tiles_per_ipu != own_chip
-                    ):
-                        inter += moved
-        return total, inter
+        account = exchange_account((self,), tiles_per_ipu)
+        return account.total, account.inter_ipu
 
-    def exchange_bytes_by_tensor(self) -> dict[str, int]:
-        """Exchange bytes attributed to each connected tensor, by name.
 
-        Same interval-overlap accounting as :meth:`exchange_bytes_split`
-        (an interval counts when it overlaps the connection and lives on a
-        foreign tile); multiple connections to one tensor sum under its
-        name, so the values always total :meth:`exchange_bytes`.
-        """
-        per_tensor: dict[str, int] = {}
-        for connection in self.connections.values():
-            mapping = connection.tensor.require_mapping()
-            itemsize = connection.tensor.dtype.itemsize
-            moved = 0
-            for interval in mapping.intervals:
-                overlap = min(interval.stop, connection.stop) - max(
-                    interval.start, connection.start
-                )
-                if overlap > 0 and interval.tile != self.tile:
-                    moved += overlap * itemsize
-            if moved:
-                name = connection.tensor.name
-                per_tensor[name] = per_tensor.get(name, 0) + moved
-        return per_tensor
+@dataclasses.dataclass(frozen=True)
+class ExchangeAccount:
+    """Static exchange traffic of a group of vertices.
+
+    ``by_tensor`` attributes ``total`` to tensor names (values sum to
+    ``total``); keys appear in the order of the first connection — vertex
+    by vertex, field by field — that moves any byte of that tensor.
+    """
+
+    total: int
+    inter_ipu: int
+    by_tensor: dict[str, int]
+
+
+def exchange_account(
+    vertices: Iterable[Vertex], tiles_per_ipu: int | None
+) -> ExchangeAccount:
+    """Exchange bytes of ``vertices`` in one pass per connected tensor.
+
+    A connected interval resident on the vertex's own tile is local; every
+    other overlapping interval crosses the fabric, and crosses an IPU-Link
+    too when its chip (``tile // tiles_per_ipu``) differs from the
+    vertex's.  Connections are grouped by tensor and each group is counted
+    with one vectorized :meth:`TileMapping.foreign_elements` call, so a
+    compute set costs O(connections + overlaps) numpy work instead of a
+    Python scan of every mapping interval per connection.
+    """
+    rows: dict[Tensor, list[tuple[int, int, int, int]]] = {}
+    order = itertools.count()
+    for vertex in vertices:
+        for connection in vertex.connections.values():
+            rows.setdefault(connection.tensor, []).append(
+                (connection.start, connection.stop, vertex.tile, next(order))
+            )
+    total = 0
+    inter_ipu = 0
+    first_moved: list[tuple[int, str, int]] = []
+    for tensor, tensor_rows in rows.items():
+        starts, stops, tiles, positions = np.array(tensor_rows, dtype=np.int64).T
+        foreign, inter = tensor.require_mapping().foreign_elements(
+            starts, stops, tiles, tiles_per_ipu
+        )
+        moved = int(foreign.sum()) * tensor.dtype.itemsize
+        if not moved:
+            continue
+        total += moved
+        inter_ipu += int(inter.sum()) * tensor.dtype.itemsize
+        first = int(positions[np.flatnonzero(foreign)[0]])
+        first_moved.append((first, tensor.name, moved))
+    by_tensor: dict[str, int] = {}
+    for _, name, moved in sorted(first_moved):
+        by_tensor[name] = by_tensor.get(name, 0) + moved
+    return ExchangeAccount(total, inter_ipu, by_tensor)
 
 
 class ComputeSet:

@@ -24,7 +24,10 @@ The constructors cover the strategies discussed in the paper:
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Sequence
+
+import numpy as np
 
 from repro.errors import MappingError
 
@@ -194,6 +197,64 @@ class TileMapping:
         return cls(rows * cols, tuple(intervals))
 
     # ------------------------------------------------------------------
+    # Interval arrays (cached: a mapping is frozen, and re-mapping a
+    # tensor swaps in a new TileMapping object)
+    # ------------------------------------------------------------------
+
+    @functools.cached_property
+    def starts(self) -> np.ndarray:
+        """Interval starts, ascending (``int64``)."""
+        return np.array([iv.start for iv in self.intervals], dtype=np.int64)
+
+    @functools.cached_property
+    def stops(self) -> np.ndarray:
+        """Interval stops, aligned with :attr:`starts` (``int64``)."""
+        return np.array([iv.stop for iv in self.intervals], dtype=np.int64)
+
+    @functools.cached_property
+    def tiles(self) -> np.ndarray:
+        """Owning tile per interval, aligned with :attr:`starts` (``int64``)."""
+        return np.array([iv.tile for iv in self.intervals], dtype=np.int64)
+
+    def foreign_elements(
+        self,
+        starts: np.ndarray,
+        stops: np.ndarray,
+        tiles: np.ndarray,
+        tiles_per_ipu: int | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Elements of each region ``[starts[i], stops[i])``, read from
+        ``tiles[i]``, that live on another tile — and on another chip
+        (all three ``int64`` arrays).
+
+        This is the one interval-overlap pass behind all static exchange
+        accounting.  Returns ``(foreign, inter_ipu)`` per-region ``int64``
+        counts; ``inter_ipu`` counts elements whose owning chip
+        (``tile // tiles_per_ipu``) differs from the reader's, and is all
+        zero when ``tiles_per_ipu`` is ``None`` (single-IPU accounting).
+        Pass at least one region; each must be non-empty and lie within
+        ``[0, size)``.
+        """
+        # Interval i overlaps [start, stop) iff stops[i] > start and
+        # starts[i] < stop; on a sorted exact cover that is an index range.
+        first = np.searchsorted(self.stops, starts, "right")
+        counts = np.searchsorted(self.starts, stops, "left") - first
+        offsets = np.cumsum(counts) - counts
+        region = np.repeat(np.arange(len(starts)), counts)
+        interval = first[region] + np.arange(int(counts.sum())) - offsets[region]
+        overlap = np.minimum(self.stops[interval], stops[region]) - np.maximum(
+            self.starts[interval], starts[region]
+        )
+        owner = self.tiles[interval]
+        reader = tiles[region]
+        foreign = np.add.reduceat(np.where(owner != reader, overlap, 0), offsets)
+        if tiles_per_ipu is None:
+            return foreign, np.zeros_like(foreign)
+        cross = owner // tiles_per_ipu != reader // tiles_per_ipu
+        inter = np.add.reduceat(np.where(cross, overlap, 0), offsets)
+        return foreign, inter
+
+    # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
 
@@ -207,10 +268,8 @@ class TileMapping:
             raise MappingError(
                 f"element {flat_index} out of range for size {self.size}"
             )
-        for interval in self.intervals:
-            if interval.start <= flat_index < interval.stop:
-                return interval.tile
-        raise AssertionError("exact cover violated")  # pragma: no cover
+        index = int(np.searchsorted(self.stops, flat_index, "right"))
+        return self.intervals[index].tile
 
     def bytes_per_tile(self, itemsize: int) -> dict[int, int]:
         """Bytes of this tensor resident on each used tile."""

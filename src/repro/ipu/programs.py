@@ -170,22 +170,12 @@ class Copy(Program):
         src_map = self.source.require_mapping()
         dst_map = self.destination.require_mapping()
         itemsize = self.source.dtype.itemsize
-        total = 0
-        inter = 0
-        for dst_interval in dst_map.intervals:
-            for src_interval in src_map.intervals:
-                overlap = min(src_interval.stop, dst_interval.stop) - max(
-                    src_interval.start, dst_interval.start
-                )
-                if overlap > 0 and src_interval.tile != dst_interval.tile:
-                    total += overlap * itemsize
-                    if (
-                        tiles_per_ipu is not None
-                        and src_interval.tile // tiles_per_ipu
-                        != dst_interval.tile // tiles_per_ipu
-                    ):
-                        inter += overlap * itemsize
-        return total, inter
+        # Each destination interval reads its span of the source from the
+        # tile that owns it.
+        foreign, inter = src_map.foreign_elements(
+            dst_map.starts, dst_map.stops, dst_map.tiles, tiles_per_ipu
+        )
+        return int(foreign.sum()) * itemsize, int(inter.sum()) * itemsize
 
     def compute_sets(self) -> tuple[ComputeSet, ...]:
         return ()

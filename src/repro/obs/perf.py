@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import datetime
+import gc
 import json
 import math
 import pathlib
@@ -157,6 +158,7 @@ DEFAULT_BUDGETS: dict[str, Budget] = {
     "wall_per_instance_s": Budget("wall"),
     "device_seconds": Budget("model"),
     "supersteps": Budget("exact"),
+    "exchange_bytes": Budget("exact"),
     "cold_supersteps": Budget("exact"),
     "supersteps_saved_ratio": Budget("model"),
     "instances_per_second": Budget("throughput"),
@@ -259,12 +261,20 @@ class PerfStore:
 # The built-in measurement suite
 # ----------------------------------------------------------------------
 
-#: Per-scale shapes of the built-in suite: single-solve sizes and the
-#: batch stream ``(size, count)``.  Quick mirrors the bench grids' smoke
-#: shapes so CI runs in seconds.
+#: Per-scale shapes of the built-in suite: single-solve sizes, the batch
+#: stream ``(size, count)`` and the cold-compile sizes.  Quick mirrors the
+#: bench grids' smoke shapes so CI runs in seconds.
 _SUITE_SHAPES = {
-    "quick": {"solve_sizes": (16, 32), "batch": (16, 12)},
-    "default": {"solve_sizes": (32, 64), "batch": (32, 60)},
+    "quick": {
+        "solve_sizes": (16, 32),
+        "batch": (16, 12),
+        "compile_sizes": (64, 128),
+    },
+    "default": {
+        "solve_sizes": (32, 64),
+        "batch": (32, 60),
+        "compile_sizes": (128, 256),
+    },
 }
 
 
@@ -273,11 +283,14 @@ def run_suite(
 ) -> list[dict[str, Any]]:
     """Measure the built-in suite; returns ``repro.perf/1`` run rows.
 
-    Every benchmark reports ``wall_seconds`` (alternating-round minimum),
-    ``device_seconds`` (modeled, deterministic), and ``supersteps``
-    (exact); the batch benchmark adds ``instances_per_second``.  Graphs
-    are pre-compiled before timing so rounds measure execution, not the
-    one-off compile.
+    Every benchmark reports ``wall_seconds`` (alternating-round minimum).
+    Solve legs add ``device_seconds`` (modeled, deterministic) and
+    ``supersteps`` (exact); the batch benchmark adds
+    ``instances_per_second``.  Their graphs are pre-compiled before timing
+    so rounds measure execution, not the one-off compile.  The
+    ``compile/n{size}`` legs time exactly that compile — graph build plus
+    :func:`~repro.ipu.compiler.compile_graph` on a fresh solver — and
+    report the summed static ``exchange_bytes`` of its plans (exact).
     """
     from repro.batch import BatchSolver
     from repro.core.solver import HunIPUSolver
@@ -348,6 +361,20 @@ def run_suite(
 
     tasks[f"batch/n{batch_size}x{batch_count}"] = _batch_round
 
+    for size in shapes["compile_sizes"]:
+
+        def _compile_round(size=size, key=f"compile/n{size}") -> float:
+            # A compile is short next to a full collection of the heap the
+            # earlier legs left behind; collect that garbage first so no
+            # round is charged for it.
+            results.pop(key, None)
+            gc.collect()
+            with wall_timer() as timer:
+                results[key] = HunIPUSolver().compiled_for(size)
+            return timer.seconds
+
+        tasks[f"compile/n{size}"] = _compile_round
+
     timings = alternating_minimum(tasks, rounds)
 
     for size in shapes["solve_sizes"]:
@@ -401,6 +428,20 @@ def run_suite(
             "context": context,
         }
     )
+    for size in shapes["compile_sizes"]:
+        key = f"compile/n{size}"
+        plans = results[key].engine.compiled.plans.values()
+        runs.append(
+            {
+                "benchmark": key,
+                "params": {"n": size},
+                "metrics": {
+                    "wall_seconds": timings[key].best,
+                    "exchange_bytes": sum(plan.exchange_bytes for plan in plans),
+                },
+                "context": context,
+            }
+        )
     return runs
 
 

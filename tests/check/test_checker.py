@@ -310,6 +310,24 @@ class TestDynamicOpLint:
         assert diag.tile == 0  # the vertex's tile, not the segment's
         assert diag.interval == (0, 8)
 
+    def test_partial_segment_counts_clipped_foreign_intervals(self, toy_spec):
+        graph = ComputeGraph(toy_spec)
+        # tile 0: [0, 4) and [8, 12); tile 1: [4, 8).
+        tensor = graph.add_tensor(
+            "seg", (12,), np.float32,
+            mapping=TileMapping.linear_segments(12, 4, [0, 1]),
+        )
+        cs = graph.add_compute_set("dyn")
+        cs.add_vertex(_DynLocal(), 1, {"data": ComputeGraph.span(tensor, 2, 10)})
+        cs.add_vertex(_DynLocal(), 0, {"data": ComputeGraph.span(tensor, 3, 8)})
+        first, second = check_graph(graph).warnings
+        # Tile 1 reads [2, 4) and [8, 10) remotely; the first is reported.
+        assert (first.tile, first.interval) == (1, (2, 4))
+        assert "but 4 element(s) live on other tiles" in first.message
+        # Tile 0 reads only [4, 8) remotely.
+        assert (second.tile, second.interval) == (0, (4, 8))
+        assert "but 4 element(s) live on other tiles" in second.message
+
     def test_local_segment_clean(self, toy_spec):
         graph = ComputeGraph(toy_spec)
         tensor = graph.add_tensor(

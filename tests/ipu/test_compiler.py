@@ -306,3 +306,35 @@ class TestViewCacheInvalidation:
         tensor.data = np.full(8, 9, dtype=np.int32)
         assert not np.shares_memory(stale, tensor.data)
         assert field_plan.gather().reshape(-1).tolist() == [9] * 8
+
+
+class TestExchangeTotalsPinned:
+    """Summed static exchange over every plan of a HunIPU graph.
+
+    The expected figures were recorded with the per-interval Python scan
+    that preceded the vectorized per-compute-set pass; any drift here is a
+    modeled-cost change, not a refactor.
+    """
+
+    @pytest.mark.parametrize(
+        ("system", "size", "cold", "warm"),
+        [
+            ("mk2", 16, (10980, 0), (13020, 0)),
+            ("mk2", 64, (118868, 0), (151756, 0)),
+            ("toy-cluster", 16, (5180, 2876), (6188, 3452)),
+        ],
+    )
+    def test_summed_exchange_and_inter_ipu_bytes(self, system, size, cold, warm):
+        from repro.core.solver import CompiledInstance
+        from repro.ipu.cluster import ClusterSpec
+
+        spec = IPUSpec.mk2() if system == "mk2" else ClusterSpec.toy().system()
+        compiled = CompiledInstance(size, spec, np.dtype(np.float64), "batched")
+        for engine, expected in ((compiled.engine, cold), (compiled.warm_engine, warm)):
+            plans = engine.compiled.plans.values()
+            assert (
+                sum(plan.exchange_bytes for plan in plans),
+                sum(plan.inter_ipu_bytes for plan in plans),
+            ) == expected
+            for plan in plans:
+                assert sum(plan.exchange_by_tensor.values()) == plan.exchange_bytes

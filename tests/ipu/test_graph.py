@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphConstructionError
 from repro.ipu.codelets import Codelet
-from repro.ipu.graph import ComputeGraph, Connection
+from repro.ipu.graph import ComputeGraph, Connection, Vertex, exchange_account
 from repro.ipu.mapping import TileMapping
 from repro.ipu.oplib import Fill
+from repro.ipu.spec import IPUSpec
 
 
 class TestTensors:
@@ -153,6 +156,110 @@ class TestExchangeAccounting:
         )
         # Elements 2..3 live on tile 1: 2 * 4 bytes cross the fabric.
         assert vertex.exchange_bytes() == 8
+
+
+class _ThreeInputs(Codelet):
+    fields = {"a": "in", "b": "in", "c": "in"}
+
+    def compute_all(self, views, params, cost):  # pragma: no cover
+        return None
+
+
+#: Two 4-tile chips: every mapping below may straddle the chip boundary.
+_TILES = 8
+
+
+@st.composite
+def _mapping(draw, kind):
+    tiles = draw(st.permutations(range(_TILES)))
+    if kind == "row_blocks":
+        rows = draw(st.integers(1, 9))
+        cols = draw(st.integers(1, 5))
+        used = draw(st.integers(1, _TILES))
+        return TileMapping.row_blocks((rows, cols), tiles[:used])
+    if kind == "grid_blocks":
+        rows = draw(st.integers(2, 8))
+        cols = draw(st.integers(2, 8))
+        grid = (draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+        return TileMapping.grid_blocks((rows, cols), grid, tiles)
+    if kind == "linear_segments":
+        size = draw(st.integers(1, 60))
+        segment = draw(st.integers(1, 8))
+        used = draw(st.integers(1, _TILES))
+        return TileMapping.linear_segments(size, segment, tiles[:used])
+    owners = draw(st.lists(st.integers(0, _TILES - 1), min_size=1, max_size=24))
+    return TileMapping.per_element(owners)
+
+
+@st.composite
+def _exchange_case(draw):
+    graph = ComputeGraph(IPUSpec.toy(num_tiles=_TILES))
+    kinds = ("row_blocks", "grid_blocks", "linear_segments", "per_element")
+    tensors = []
+    for index in range(draw(st.integers(1, 3))):
+        mapping = draw(_mapping(draw(st.sampled_from(kinds))))
+        dtype = draw(st.sampled_from((np.int8, np.int32, np.float64)))
+        tensors.append(
+            graph.add_tensor(f"t{index}", (mapping.size,), dtype, mapping=mapping)
+        )
+
+    def region(tensor):
+        shape = draw(st.sampled_from(("full", "single", "span")))
+        if shape == "full":  # broadcast when several vertices share it
+            return ComputeGraph.full(tensor)
+        start = draw(st.integers(0, tensor.size - 1))
+        if shape == "single":
+            return ComputeGraph.span(tensor, start, start + 1)
+        stop = draw(st.integers(start + 1, tensor.size))
+        return ComputeGraph.span(tensor, start, stop)
+
+    codelet = _ThreeInputs()
+    vertices = [
+        Vertex(
+            codelet,
+            draw(st.integers(0, _TILES - 1)),
+            {field: region(draw(st.sampled_from(tensors))) for field in "abc"},
+        )
+        for _ in range(draw(st.integers(1, 6)))
+    ]
+    return vertices, draw(st.sampled_from((None, _TILES // 2)))
+
+
+def _reference_account(vertices, tiles_per_ipu):
+    """Per-element brute force: expand every mapping to element -> tile."""
+    total = inter = 0
+    by_tensor: dict[str, int] = {}
+    for vertex in vertices:
+        for connection in vertex.connections.values():
+            tensor = connection.tensor
+            owner = np.empty(tensor.size, dtype=np.int64)
+            for interval in tensor.mapping.intervals:
+                owner[interval.start : interval.stop] = interval.tile
+            region = owner[connection.start : connection.stop]
+            itemsize = tensor.dtype.itemsize
+            moved = int(np.count_nonzero(region != vertex.tile)) * itemsize
+            total += moved
+            if tiles_per_ipu is not None:
+                crossing = region // tiles_per_ipu != vertex.tile // tiles_per_ipu
+                inter += int(np.count_nonzero(crossing)) * itemsize
+            if moved:
+                by_tensor[tensor.name] = by_tensor.get(tensor.name, 0) + moved
+    return total, inter, by_tensor
+
+
+class TestExchangeAccountProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(_exchange_case())
+    def test_matches_per_element_reference(self, case):
+        vertices, tiles_per_ipu = case
+        total, inter, by_tensor = _reference_account(vertices, tiles_per_ipu)
+        account = exchange_account(vertices, tiles_per_ipu)
+        assert (account.total, account.inter_ipu) == (total, inter)
+        # Key order is part of the contract (first moving connection).
+        assert list(account.by_tensor.items()) == list(by_tensor.items())
+        assert sum(
+            vertex.exchange_bytes_split(tiles_per_ipu)[0] for vertex in vertices
+        ) == total
 
 
 class TestCodeletValidation:

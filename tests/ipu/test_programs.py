@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphConstructionError
 from repro.ipu.graph import ComputeGraph
 from repro.ipu.mapping import TileMapping
+from repro.ipu.spec import IPUSpec
 from repro.ipu.programs import (
     Copy,
     Execute,
@@ -101,6 +104,44 @@ class TestCopy:
             "b", (4,), np.int32, mapping=TileMapping.single_tile(4, tile=1)
         )
         assert Copy(a, b).exchange_bytes() == 16
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        size=st.integers(1, 40),
+        segments=st.tuples(st.integers(1, 7), st.integers(1, 7)),
+        owners=st.tuples(
+            st.lists(st.integers(0, 7), min_size=1, max_size=8),
+            st.lists(st.integers(0, 7), min_size=1, max_size=8),
+        ),
+        tiles_per_ipu=st.sampled_from((None, 4)),
+    )
+    def test_split_matches_per_element_reference(
+        self, size, segments, owners, tiles_per_ipu
+    ):
+        graph = ComputeGraph(IPUSpec.toy(num_tiles=8))
+        src, dst = (
+            graph.add_tensor(
+                name,
+                (size,),
+                np.float64,
+                mapping=TileMapping.linear_segments(size, segment, tiles),
+            )
+            for name, segment, tiles in zip(("src", "dst"), segments, owners)
+        )
+
+        def owner(tensor):
+            flat = np.empty(size, dtype=np.int64)
+            for interval in tensor.mapping.intervals:
+                flat[interval.start : interval.stop] = interval.tile
+            return flat
+
+        src_tile, dst_tile = owner(src), owner(dst)
+        total = int(np.count_nonzero(src_tile != dst_tile)) * 8
+        inter = 0
+        if tiles_per_ipu is not None:
+            crossing = src_tile // tiles_per_ipu != dst_tile // tiles_per_ipu
+            inter = int(np.count_nonzero(crossing)) * 8
+        assert Copy(src, dst).exchange_bytes_split(tiles_per_ipu) == (total, inter)
 
     def test_shape_change_allowed(self, graph):
         a = graph.add_tensor("a", (2, 2), np.int32, mapping=TileMapping.single_tile(4))

@@ -221,11 +221,21 @@ class TestSuiteAndIngest:
         names = [run["benchmark"] for run in runs]
         assert any(name.startswith("solve/") for name in names)
         assert any(name.startswith("batch/") for name in names)
+        assert [name for name in names if name.startswith("compile/")] == [
+            "compile/n64",
+            "compile/n128",
+        ]
         for run in runs:
             assert run["metrics"]["wall_seconds"] > 0
-            assert run["metrics"]["device_seconds"] > 0
-            assert run["metrics"]["supersteps"] > 0
             assert run["context"]["source"] == "suite"
+            if run["benchmark"].startswith("compile/"):
+                # Compile legs run no solve: static exchange is their
+                # deterministic metric.
+                assert run["metrics"]["exchange_bytes"] > 0
+                assert DEFAULT_BUDGETS["exchange_bytes"].kind == "exact"
+            else:
+                assert run["metrics"]["device_seconds"] > 0
+                assert run["metrics"]["supersteps"] > 0
         # The suite's rows validate as a store document and re-compare
         # bit-identically on the deterministic metrics.
         store = PerfStore(tmp_path / "trends.json")

@@ -179,6 +179,28 @@ class TestNullDiscipline:
         assert current_span() is None
 
 
+class TestCompileSpans:
+    def test_plan_building_and_checker_are_children_of_the_compile(self):
+        from repro.core.solver import HunIPUSolver
+        from repro.ipu.compiler import compile_graph
+
+        compiled = HunIPUSolver().compiled_for(8)
+        spans = SpanCollector()
+        with spans.span("pool.compile", correlation_id="req-1") as parent:
+            compile_graph(compiled.graph, compiled.program, check="warn")
+        children = spans.children(parent)
+        assert [child.name for child in children] == [
+            "compile.plans",
+            "compile.check",
+        ]
+        plans, check = children
+        assert plans.attributes["compute_sets"] == len(
+            compiled.engine.compiled.plans
+        )
+        assert plans.correlation_id == check.correlation_id == "req-1"
+        assert plans.finished and check.finished
+
+
 class TestViews:
     def test_coverage_full_tree(self):
         clock = FakeClock()
