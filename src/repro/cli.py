@@ -1002,7 +1002,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             else:
                 validate_document(document)
                 label = document.get("schema")
-        except (OSError, json.JSONDecodeError, SchemaError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError, SchemaError) as exc:
             print(f"FAIL {path}: {exc}", file=sys.stderr)
             failures += 1
             continue

@@ -460,3 +460,20 @@ class TestValidateCommand:
         missing = tmp_path / "missing.json"
         assert main(["validate", str(missing)]) == 1
         assert "FAIL" in capsys.readouterr().err
+
+    def test_malformed_files_fail_without_traceback(self, capsys, tmp_path):
+        # A structurally broken document and a non-UTF-8 file each get one
+        # FAIL line; the good file after them is still reported.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"schema": "repro.bench-run/1",
+                                   "experiment": "e", "scale": "quick",
+                                   "records": 3}))
+        binary = tmp_path / "binary.json"
+        binary.write_bytes(b"\xff\xfe{not utf-8")
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps({"schema": "repro.metrics/1", "metrics": {}}))
+        assert main(["validate", str(bad), str(binary), str(good)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("FAIL") == 2
+        assert captured.out.count("OK") == 1
+        assert "Traceback" not in captured.err + captured.out
