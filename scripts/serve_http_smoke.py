@@ -10,7 +10,9 @@ contract end to end:
 * zero gap-aware scipy verification failures;
 * the crashed worker was detected, its in-flight work re-dispatched, and
   the worker restarted (the pool is healthy again at the end);
-* the pool's ``repro.serve/1`` stats document validates.
+* the pool's ``repro.serve/1`` stats document validates on every poll
+  while load is running (requests mid-flight must still balance) and at
+  the end.
 
 Exit code 0 on success; any broken invariant raises.  Artifacts
 (``serve-http-stats.json``) are written to the working directory.
@@ -20,9 +22,10 @@ from __future__ import annotations
 
 import json
 import sys
+import threading
 from time import monotonic, sleep
 
-from repro.obs.export import to_jsonable, validate_serve_stats
+from repro.obs.export import SchemaError, to_jsonable, validate_serve_stats
 from repro.serve import (
     HttpFrontend,
     WorkerPool,
@@ -55,8 +58,33 @@ def main() -> int:
             tier_weights={"auto": 0.4, "ipu": 0.3, "fast": 0.15, "approx": 0.15},
             deadlines=((None, 0.8), (0.5, 0.2)),
         )
-        report = run_http_load(frontend.url, workload, rate=120.0, submitters=8)
+        # Poll the pool's stats while the load runs: each mid-run snapshot
+        # must account for every request, including those in flight.
+        load_done = threading.Event()
+        polls = []
+        failures = []
+
+        def poll_stats() -> None:
+            while not load_done.is_set():
+                try:
+                    validate_serve_stats(pool.stats_document())
+                except SchemaError as exc:
+                    failures.append(exc)
+                    return
+                polls.append(monotonic())
+                sleep(0.01)
+
+        poller = threading.Thread(target=poll_stats, daemon=True)
+        poller.start()
+        try:
+            report = run_http_load(frontend.url, workload, rate=120.0, submitters=8)
+        finally:
+            load_done.set()
+            poller.join()
         print(json.dumps(to_jsonable(report), indent=2))
+        assert not failures, f"mid-run stats snapshot invalid: {failures[0]}"
+        assert polls, "no stats poll completed while load was running"
+        print(f"{len(polls)} mid-run stats snapshots schema-valid")
 
         assert report["lost"] == 0, f"lost requests: {report['lost']}"
         assert report["verify_failures"] == 0, (

@@ -62,7 +62,7 @@ from repro.serve.pool import WarmEnginePool
 from repro.serve.request import RejectReason, SolveRequest, SolveResponse, Ticket
 from repro.serve.router import LatencyEstimator, Router
 from repro.serve.sessions import SessionStore
-from repro.serve.stats import latency_summary
+from repro.serve.stats import RequestLedger
 
 __all__ = ["SolverService"]
 
@@ -72,28 +72,6 @@ logger = logging.getLogger(__name__)
 #: library's differential tests).
 _VERIFY_ABS = 1e-6
 _VERIFY_REL = 1e-9
-
-
-def _approx_block(
-    counts: dict[str, int], gap_sums: dict[str, float], gap_max: float
-) -> dict:
-    """The ``approx`` block of the ``repro.serve/1`` stats document."""
-    responses = sum(counts.values())
-    gap_total = sum(gap_sums.values())
-    return {
-        "responses": responses,
-        "mean_gap_bound": gap_total / responses if responses else 0.0,
-        "max_gap_bound": gap_max,
-        "by_tier": {
-            tier: {
-                "responses": counts[tier],
-                "mean_gap_bound": (
-                    gap_sums.get(tier, 0.0) / counts[tier] if counts[tier] else 0.0
-                ),
-            }
-            for tier in sorted(counts)
-        },
-    }
 
 
 class SolverService:
@@ -192,25 +170,11 @@ class SolverService:
         self._stopping = False
         self._draining = True
         self._next_id = 0
+        self.ledger = RequestLedger()
         self._stats_lock = threading.Lock()
-        self._submitted = 0
-        self._completed = 0
-        self._degraded = 0
-        self._deadline_missed = 0
-        self._in_flight = 0
         self._peak_queue_depth = 0
-        self._rejected: dict[str, int] = {}
-        self._backends: dict[str, int] = {}
-        self._tiers: dict[str, int] = {}
-        self._fallbacks = {"engine_error": 0, "deadline": 0, "retries": 0}
-        # Approximate-tier accounting: per-tier response counts and the
-        # reported gap-bound mass (for the mean/max in the stats export).
-        self._approx_counts: dict[str, int] = {}
-        self._approx_gap_sum: dict[str, float] = {}
-        self._approx_gap_max = 0.0
         self._batches = 0
         self._coalesced = 0
-        self._latencies: list[float] = []
         self._workers = [
             threading.Thread(
                 target=self._worker_loop, name=f"serve-worker-{index}", daemon=True
@@ -307,9 +271,7 @@ class SolverService:
             # Count the admission before the append: once a worker can see
             # the ticket it may complete (and decrement in_flight) at any
             # moment, and the accounting must never go transiently negative.
-            with self._stats_lock:
-                self._submitted += 1
-                self._in_flight += 1
+            self.ledger.admit()
             # The queue span must exist before the append: the moment a
             # worker can see the ticket it may dequeue it and end the span.
             if self.spans.enabled:
@@ -377,12 +339,7 @@ class SolverService:
             correlation_id=ticket.request.correlation_id,
         )
         if ticket._resolve(response):
-            with self._stats_lock:
-                if admitted:
-                    self._in_flight -= 1
-                else:
-                    self._submitted += 1
-                self._rejected[code] = self._rejected.get(code, 0) + 1
+            self.ledger.reject(code, admitted=admitted)
             self.metrics.counter(
                 f"serve.rejected.{code}", f"requests rejected: {code}"
             ).inc()
@@ -580,8 +537,7 @@ class SolverService:
                     )
                     # Each member gets re-attempted individually — that is one
                     # engine retry per request, and the accounting must show it.
-                    with self._stats_lock:
-                        self._fallbacks["retries"] += len(tickets)
+                    self.ledger.retried(len(tickets))
                     self.metrics.counter(
                         "serve.retries", "engine retries after faults"
                     ).inc(len(tickets))
@@ -741,8 +697,7 @@ class SolverService:
                     if attempt + 1 >= attempts:
                         raise
                     backoff = self.router.backoff_s(attempt)
-                    with self._stats_lock:
-                        self._fallbacks["retries"] += 1
+                    self.ledger.retried()
                     self.metrics.counter(
                         "serve.retries", "engine retries after faults"
                     ).inc()
@@ -843,26 +798,14 @@ class SolverService:
         )
         if not ticket._resolve(response):
             return  # already terminally resolved (e.g. raced cancellation)
-        with self._stats_lock:
-            self._in_flight -= 1
-            self._completed += 1
-            self._backends[backend] = self._backends.get(backend, 0) + 1
-            self._tiers[request.tier] = self._tiers.get(request.tier, 0) + 1
-            if degraded:
-                self._degraded += 1
-                self._fallbacks[fallback_reason] = (
-                    self._fallbacks.get(fallback_reason, 0) + 1
-                )
-            if deadline_missed:
-                self._deadline_missed += 1
-            if gap_bound is not None:
-                tier = request.tier
-                self._approx_counts[tier] = self._approx_counts.get(tier, 0) + 1
-                self._approx_gap_sum[tier] = (
-                    self._approx_gap_sum.get(tier, 0.0) + gap_bound
-                )
-                self._approx_gap_max = max(self._approx_gap_max, gap_bound)
-            self._latencies.append(latency)
+        self.ledger.complete(
+            backend=backend,
+            tier=request.tier,
+            latency_s=latency,
+            fallback_reason=fallback_reason,
+            deadline_missed=deadline_missed,
+            gap_bound=gap_bound,
+        )
         self.metrics.counter("serve.completed", "requests completed").inc()
         if gap_bound is not None:
             self.metrics.counter(
@@ -958,30 +901,20 @@ class SolverService:
             return len(self._queue)
 
     def stats(self) -> dict:
-        """Plain-dict snapshot of the request accounting."""
+        """Request counts plus the service's batching and queue counters."""
         with self._stats_lock:
-            return {
-                "submitted": self._submitted,
-                "completed": self._completed,
-                "degraded": self._degraded,
-                "deadline_missed": self._deadline_missed,
-                "in_flight": self._in_flight,
-                "rejected": dict(sorted(self._rejected.items())),
-                "backends": dict(sorted(self._backends.items())),
-                "tiers": dict(sorted(self._tiers.items())),
-                "fallbacks": dict(self._fallbacks),
-                "approx_counts": dict(sorted(self._approx_counts.items())),
-                "approx_gap_sum": dict(sorted(self._approx_gap_sum.items())),
-                "approx_gap_max": self._approx_gap_max,
+            counters = {
                 "batches": self._batches,
                 "coalesced": self._coalesced,
                 "peak_queue_depth": self._peak_queue_depth,
-                "latencies": list(self._latencies),
             }
+        return {**self.ledger.document_blocks()["requests"], **counters}
 
     def stats_document(self, meta: dict | None = None) -> dict:
         """The schema-versioned ``repro.serve/1`` stats export."""
-        snapshot = self.stats()
+        with self._stats_lock:
+            batching = {"batches": self._batches, "coalesced": self._coalesced}
+            peak_depth = self._peak_queue_depth
         document = {
             "schema": SERVE_SCHEMA,
             "meta": {
@@ -992,33 +925,11 @@ class SolverService:
                 "verify": self.verify,
                 **(meta or {}),
             },
-            "requests": {
-                "submitted": snapshot["submitted"],
-                "completed": snapshot["completed"],
-                "degraded": snapshot["degraded"],
-                "deadline_missed": snapshot["deadline_missed"],
-                "rejected": snapshot["rejected"],
-                "in_flight": snapshot["in_flight"],
-            },
-            "latency_seconds": latency_summary(snapshot["latencies"]),
-            "queue": {
-                "depth": self.queue_depth(),
-                "peak_depth": snapshot["peak_queue_depth"],
-            },
-            "backends": snapshot["backends"],
-            "tiers": snapshot["tiers"],
-            "fallbacks": snapshot["fallbacks"],
-            "batching": {
-                "batches": snapshot["batches"],
-                "coalesced": snapshot["coalesced"],
-            },
+            **self.ledger.document_blocks(),
+            "queue": {"depth": self.queue_depth(), "peak_depth": peak_depth},
+            "batching": batching,
             "pool": self.pool.stats(),
             "estimator": self.router.estimator.snapshot(),
-            "approx": _approx_block(
-                snapshot["approx_counts"],
-                snapshot["approx_gap_sum"],
-                snapshot["approx_gap_max"],
-            ),
         }
         if self.sessions is not None:
             document["sessions"] = self.sessions.stats()

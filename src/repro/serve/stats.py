@@ -1,11 +1,19 @@
-"""Latency summaries for the serving layer (stats export + load reports)."""
+"""Request books and latency summaries for the serving layer.
+
+:class:`RequestLedger` is the one place ``repro.serve/1`` request
+accounting lives: :class:`repro.serve.SolverService` and
+:class:`repro.serve.WorkerPool` both record every request transition in
+one and merge its :meth:`~RequestLedger.document_blocks` into their
+``stats_document()``.
+"""
 
 from __future__ import annotations
 
 import math
+import threading
 from typing import Sequence
 
-__all__ = ["latency_summary", "percentile"]
+__all__ = ["RequestLedger", "latency_summary", "percentile"]
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -54,3 +62,128 @@ def latency_summary(latencies: Sequence[float]) -> dict:
         "p99": percentile(ordered, 99),
         "max": ordered[-1] if count else 0.0,
     }
+
+
+class RequestLedger:
+    """Thread-safe request accounting behind a ``repro.serve/1`` document.
+
+    A request is admitted (:meth:`admit`), then ends exactly once as
+    completed (:meth:`complete`) or rejected (:meth:`reject`); a request
+    refused at the door is rejected with ``admitted=False``.  Each
+    transition moves all of its counts under one lock, so every snapshot
+    balances: ``submitted == completed + rejected + in_flight``.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._submitted = 0
+        self._completed = 0
+        self._degraded = 0
+        self._deadline_missed = 0
+        self._in_flight = 0
+        self._rejected: dict[str, int] = {}
+        self._backends: dict[str, int] = {}
+        self._tiers: dict[str, int] = {}
+        self._fallbacks = {"engine_error": 0, "deadline": 0, "retries": 0}
+        # Approximate-tier responses and their gap-bound mass, per tier.
+        self._approx_counts: dict[str, int] = {}
+        self._approx_gap_sum: dict[str, float] = {}
+        self._approx_gap_max = 0.0
+        self._latencies: list[float] = []
+
+    def admit(self) -> None:
+        """A request entered the system and is now in flight."""
+        with self._lock:
+            self._submitted += 1
+            self._in_flight += 1
+
+    def reject(self, code: str, *, admitted: bool = True) -> None:
+        """A request ended rejected with the typed reason ``code``.
+
+        ``admitted=False`` marks a rejection at the door: the request was
+        never in flight, so the rejection is what makes it submitted.
+        """
+        with self._lock:
+            if admitted:
+                self._in_flight -= 1
+            else:
+                self._submitted += 1
+            self._rejected[code] = self._rejected.get(code, 0) + 1
+
+    def complete(
+        self,
+        *,
+        backend: str,
+        tier: str,
+        latency_s: float,
+        fallback_reason: str | None = None,
+        deadline_missed: bool = False,
+        gap_bound: float | None = None,
+    ) -> None:
+        """An in-flight request ended completed by ``backend``."""
+        with self._lock:
+            self._in_flight -= 1
+            self._completed += 1
+            self._backends[backend] = self._backends.get(backend, 0) + 1
+            self._tiers[tier] = self._tiers.get(tier, 0) + 1
+            if fallback_reason is not None:
+                self._degraded += 1
+                self._fallbacks[fallback_reason] = (
+                    self._fallbacks.get(fallback_reason, 0) + 1
+                )
+            if deadline_missed:
+                self._deadline_missed += 1
+            if gap_bound is not None:
+                self._approx_counts[tier] = self._approx_counts.get(tier, 0) + 1
+                self._approx_gap_sum[tier] = (
+                    self._approx_gap_sum.get(tier, 0.0) + gap_bound
+                )
+                self._approx_gap_max = max(self._approx_gap_max, gap_bound)
+            self._latencies.append(latency_s)
+
+    def retried(self, count: int = 1) -> None:
+        """``count`` engine retries happened after faults."""
+        with self._lock:
+            self._fallbacks["retries"] += count
+
+    def document_blocks(self) -> dict:
+        """The ``requests`` / ``latency_seconds`` / ``backends`` / ``tiers`` /
+        ``fallbacks`` / ``approx`` blocks of a ``repro.serve/1`` document."""
+        with self._lock:
+            requests = {
+                "submitted": self._submitted,
+                "completed": self._completed,
+                "degraded": self._degraded,
+                "deadline_missed": self._deadline_missed,
+                "rejected": dict(sorted(self._rejected.items())),
+                "in_flight": self._in_flight,
+            }
+            backends = dict(sorted(self._backends.items()))
+            tiers = dict(sorted(self._tiers.items()))
+            fallbacks = dict(self._fallbacks)
+            counts = dict(sorted(self._approx_counts.items()))
+            gap_sums = dict(self._approx_gap_sum)
+            gap_max = self._approx_gap_max
+            latencies = list(self._latencies)
+        responses = sum(counts.values())
+        return {
+            "requests": requests,
+            "latency_seconds": latency_summary(latencies),
+            "backends": backends,
+            "tiers": tiers,
+            "fallbacks": fallbacks,
+            "approx": {
+                "responses": responses,
+                "mean_gap_bound": (
+                    sum(gap_sums.values()) / responses if responses else 0.0
+                ),
+                "max_gap_bound": gap_max,
+                "by_tier": {
+                    tier: {
+                        "responses": count,
+                        "mean_gap_bound": gap_sums[tier] / count,
+                    }
+                    for tier, count in counts.items()
+                },
+            },
+        }

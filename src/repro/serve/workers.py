@@ -61,7 +61,7 @@ from repro.obs.metrics import (
     metrics_to_prometheus_text,
 )
 from repro.serve.request import REJECT_CODES
-from repro.serve.stats import latency_summary
+from repro.serve.stats import RequestLedger
 
 __all__ = ["PoolTicket", "WorkerPool", "wire_response"]
 
@@ -411,19 +411,8 @@ class WorkerPool:
         self._closed = False
         # Pool-level accounting (authoritative: workers may die, the
         # supervisor's books may not).
-        self._submitted = 0
-        self._completed = 0
-        self._degraded = 0
-        self._deadline_missed = 0
-        self._rejected: dict[str, int] = {}
-        self._backends: dict[str, int] = {}
-        self._tiers: dict[str, int] = {}
-        self._fallbacks = {"engine_error": 0, "deadline": 0, "retries": 0}
-        self._approx_counts: dict[str, int] = {}
-        self._approx_gap_sum: dict[str, float] = {}
-        self._approx_gap_max = 0.0
+        self.ledger = RequestLedger()
         self._redispatched = 0
-        self._latencies: list[float] = []
 
         self._handles = [_WorkerHandle(index) for index in range(self.workers)]
         for handle in self._handles:
@@ -526,7 +515,7 @@ class WorkerPool:
         with self._lock:
             request_id = self._next_id
             self._next_id += 1
-            self._submitted += 1
+        self.ledger.admit()
         if correlation_id is None:
             correlation_id = f"req-{request_id:06d}"
         ticket = PoolTicket(request_id, correlation_id)
@@ -540,35 +529,26 @@ class WorkerPool:
             "correlation_id": correlation_id,
         }
         self.metrics.counter("serve.pool_proc.submitted", "pool submissions").inc()
-        if self._closed:
-            self._resolve(
-                ticket,
-                _reject_document(
-                    request_id=request_id,
-                    correlation_id=correlation_id,
-                    tier=tier,
-                    code="shutdown",
-                    detail="worker pool is shut down",
-                ),
-            )
-            return ticket
         size = int(costs.shape[0]) if costs.ndim == 2 else 0
+        # Check for shutdown under the lock close() sweeps in-flight work
+        # with, so a request is either swept or never registered.
         with self._lock:
-            handle = self._route(size)
-            if handle is None:
-                entry = None
+            handle = None if self._closed else self._route(size)
+            if handle is not None:
+                self._inflight[request_id] = _InFlight(task, ticket, handle.index)
+            elif self._closed:
+                code, detail = "shutdown", "worker pool is shut down"
             else:
-                entry = _InFlight(task, ticket, handle.index)
-                self._inflight[request_id] = entry
-        if entry is None:
+                code, detail = "worker_lost", "no live worker available"
+        if handle is None:
             self._resolve(
                 ticket,
                 _reject_document(
                     request_id=request_id,
                     correlation_id=correlation_id,
                     tier=tier,
-                    code="worker_lost",
-                    detail="no live worker available",
+                    code=code,
+                    detail=detail,
                 ),
             )
             return ticket
@@ -744,33 +724,23 @@ class WorkerPool:
         latency = (
             monotonic() - entry.submitted_at if entry is not None else 0.0
         )
-        with self._lock:
-            if document["status"] == "completed":
-                self._completed += 1
-                backend = document["backend"]
-                tier = document["tier"]
-                self._backends[backend] = self._backends.get(backend, 0) + 1
-                self._tiers[tier] = self._tiers.get(tier, 0) + 1
-                if document.get("degraded"):
-                    self._degraded += 1
-                    reason = document.get("fallback_reason") or "engine_error"
-                    self._fallbacks[reason] = self._fallbacks.get(reason, 0) + 1
-                self._fallbacks["retries"] += int(document.get("retries", 0))
-                if document.get("deadline_missed"):
-                    self._deadline_missed += 1
-                gap = document.get("gap_bound")
-                if gap is not None:
-                    self._approx_counts[tier] = (
-                        self._approx_counts.get(tier, 0) + 1
-                    )
-                    self._approx_gap_sum[tier] = (
-                        self._approx_gap_sum.get(tier, 0.0) + float(gap)
-                    )
-                    self._approx_gap_max = max(self._approx_gap_max, float(gap))
-                self._latencies.append(latency)
-            else:
-                code = document["reject"]["code"]
-                self._rejected[code] = self._rejected.get(code, 0) + 1
+        if document["status"] == "completed":
+            gap = document.get("gap_bound")
+            self.ledger.complete(
+                backend=document["backend"],
+                tier=document["tier"],
+                latency_s=latency,
+                fallback_reason=(
+                    (document.get("fallback_reason") or "engine_error")
+                    if document.get("degraded")
+                    else None
+                ),
+                deadline_missed=bool(document.get("deadline_missed")),
+                gap_bound=None if gap is None else float(gap),
+            )
+            self.ledger.retried(int(document.get("retries", 0)))
+        else:
+            self.ledger.reject(document["reject"]["code"])
         if document["status"] == "completed":
             self.metrics.counter(
                 "serve.pool_proc.completed", "pool requests completed"
@@ -829,25 +799,10 @@ class WorkerPool:
         worker snapshots.
         """
         from repro.obs.export import SERVE_SCHEMA
-        from repro.serve.service import _approx_block
 
+        blocks = self.ledger.document_blocks()
         with self._lock:
-            snapshot = {
-                "submitted": self._submitted,
-                "completed": self._completed,
-                "degraded": self._degraded,
-                "deadline_missed": self._deadline_missed,
-                "in_flight": len(self._inflight),
-                "rejected": dict(sorted(self._rejected.items())),
-                "backends": dict(sorted(self._backends.items())),
-                "tiers": dict(sorted(self._tiers.items())),
-                "fallbacks": dict(self._fallbacks),
-                "latencies": list(self._latencies),
-                "redispatched": self._redispatched,
-                "approx_counts": dict(self._approx_counts),
-                "approx_gap_sum": dict(self._approx_gap_sum),
-                "approx_gap_max": self._approx_gap_max,
-            }
+            redispatched = self._redispatched
             workers_block = {
                 str(handle.index): {
                     "alive": handle.alive,
@@ -886,29 +841,13 @@ class WorkerPool:
                 "mode": "multiprocess",
                 **(meta or {}),
             },
-            "requests": {
-                "submitted": snapshot["submitted"],
-                "completed": snapshot["completed"],
-                "degraded": snapshot["degraded"],
-                "deadline_missed": snapshot["deadline_missed"],
-                "rejected": snapshot["rejected"],
-                "in_flight": snapshot["in_flight"],
-            },
-            "latency_seconds": latency_summary(snapshot["latencies"]),
-            "queue": {"depth": snapshot["in_flight"], "peak_depth": 0},
-            "backends": snapshot["backends"],
-            "tiers": snapshot["tiers"],
-            "fallbacks": snapshot["fallbacks"],
+            **blocks,
+            "queue": {"depth": blocks["requests"]["in_flight"], "peak_depth": 0},
             "batching": {"batches": 0, "coalesced": 0},
             "pool": engine_pool,
             "estimator": {},
-            "approx": _approx_block(
-                snapshot["approx_counts"],
-                snapshot["approx_gap_sum"],
-                snapshot["approx_gap_max"],
-            ),
             "supervisor": {
-                "redispatched": snapshot["redispatched"],
+                "redispatched": redispatched,
                 "restarts": sum(
                     block["restarts"] for block in workers_block.values()
                 ),
@@ -926,10 +865,10 @@ class WorkerPool:
 
     def close(self, timeout: float = _JOIN_TIMEOUT_S) -> None:
         """Stop workers; outstanding requests get typed ``shutdown`` rejects."""
-        if self._closed:
-            return
-        self._closed = True
         with self._lock:
+            if self._closed:
+                return
+            self._closed = True
             orphans = list(self._inflight.values())
             self._inflight.clear()
         for entry in orphans:

@@ -29,7 +29,7 @@ from repro.obs.export import (
     validate_solve_response,
 )
 from repro.serve.faults import CRASH_EXIT_CODE, FlakyEngineSolver
-from repro.serve.workers import WorkerPool, _reject_document
+from repro.serve.workers import PoolTicket, WorkerPool, _reject_document
 
 _RNG = np.random.default_rng(7)
 
@@ -215,6 +215,40 @@ def test_no_live_worker_rejects_typed_then_shutdown():
         pool.close()
     after_close = pool.solve(_costs(5), tier="fast", timeout=5.0)
     assert after_close["reject"]["code"] == "shutdown"
+
+
+def test_stats_balance_while_a_ticket_resolves(monkeypatch):
+    """A snapshot taken as a ticket resolves (caller already woken, books
+    not yet closed) must still account for every request, and so must one
+    taken as a submit to a closed pool is rejected."""
+    pool = WorkerPool(workers=1, threads=1, warm_sizes=())
+    statuses: list[str] = []
+    errors: list[SchemaError] = []
+    original = PoolTicket._resolve
+
+    def checked(ticket, document):
+        try:
+            validate_serve_stats(pool.stats_document())
+        except SchemaError as exc:
+            errors.append(exc)
+        statuses.append(document["status"])
+        return original(ticket, document)
+
+    monkeypatch.setattr(PoolTicket, "_resolve", checked)
+    try:
+        pool.wait_ready()
+        document = pool.solve(_costs(6), tier="fast", timeout=60.0)
+        assert document["status"] == "completed"
+    finally:
+        pool.close()
+    after_close = pool.solve(_costs(6), tier="fast", timeout=5.0)
+    assert after_close["reject"]["code"] == "shutdown"
+    assert statuses == ["completed", "rejected"]
+    assert not errors, errors
+    final = pool.stats_document()
+    validate_serve_stats(final)
+    assert final["requests"]["submitted"] == 2
+    assert final["requests"]["in_flight"] == 0
 
 
 def test_schema_error_is_importable():
