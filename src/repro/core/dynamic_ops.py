@@ -48,21 +48,29 @@ class DynSliceSegment(Codelet):
     local_fields = ("data",)
 
     def compute_all(self, views, params, cost: CostContext) -> np.ndarray:
-        data = views["data"]
-        batch, length = data.shape
+        return self.bind(params, cost)(views)
+
+    def bind(self, params, cost: CostContext):
         slot = int(params["slot"][0])
         starts = params["start"].astype(np.int64)
-        index = int(views["state"][0, slot])
-        local = index - starts
-        owns = (local >= 0) & (local < length)
-        out = views["out"]
-        out[:, 0] = SENTINEL
-        if owns.any():
+        check_cycles = 2.0 * cost.cycles_per_alu_op
+
+        def dyn_slice(views) -> np.ndarray:
+            data = views["data"]
+            batch, length = data.shape
+            index = int(views["state"][0, slot])
+            local = index - starts
+            owns = (local >= 0) & (local < length)
+            out = views["out"]
+            out[:, 0] = SENTINEL
+            cycles = np.full(batch, check_cycles)
             owner_rows = np.flatnonzero(owns)
-            out[owner_rows, 0] = data[owner_rows, local[owner_rows]]
-        cycles = np.full(batch, 2.0 * cost.cycles_per_alu_op)
-        cycles[owns] += cost.cycles_per_dynamic_access
-        return cycles
+            if len(owner_rows):
+                out[owner_rows, 0] = data[owner_rows, local[owner_rows]]
+                cycles[owner_rows] += cost.cycles_per_dynamic_access
+            return cycles
+
+        return dyn_slice
 
 
 class DynStore(Codelet):
@@ -82,27 +90,31 @@ class DynStore(Codelet):
     local_fields = ("data",)
 
     def compute_all(self, views, params, cost: CostContext) -> np.ndarray:
-        data = views["data"]
-        batch, length = data.shape
-        sel = views["sel"][0]
+        return self.bind(params, cost)(views)
+
+    def bind(self, params, cost: CostContext):
         index_slot = int(params["index_slot"][0])
         value_slot = int(params["value_slot"][0])
         if value_slot < 0 and "const_value" not in params:
             raise GraphConstructionError(
                 "DynStore with value_slot=-1 requires a const_value param"
             )
-        value = (
-            int(params["const_value"][0])
-            if value_slot < 0
-            else int(sel[value_slot])
-        )
-        index = int(sel[index_slot])
+        const_value = int(params["const_value"][0]) if value_slot < 0 else None
         starts = params["start"].astype(np.int64)
-        local = index - starts
-        owns = (local >= 0) & (local < length)
-        if owns.any():
+        check_cycles = 2.0 * cost.cycles_per_alu_op
+
+        def dyn_store(views) -> np.ndarray:
+            data = views["data"]
+            batch, length = data.shape
+            sel = views["sel"][0]
+            value = const_value if value_slot < 0 else int(sel[value_slot])
+            local = int(sel[index_slot]) - starts
+            owns = (local >= 0) & (local < length)
+            cycles = np.full(batch, check_cycles)
             owner_rows = np.flatnonzero(owns)
-            data[owner_rows, local[owner_rows]] = value
-        cycles = np.full(batch, 2.0 * cost.cycles_per_alu_op)
-        cycles[owns] += cost.cycles_per_dynamic_access
-        return cycles
+            if len(owner_rows):
+                data[owner_rows, local[owner_rows]] = value
+                cycles[owner_rows] += cost.cycles_per_dynamic_access
+            return cycles
+
+        return dyn_store

@@ -16,8 +16,11 @@ outcomes need:
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
+from repro.core.compression import segment_bounds
 from repro.core.dynamic_ops import DynStore
 from repro.core.mapping_plan import MappingPlan
 from repro.core.state import SolverState
@@ -59,67 +62,84 @@ class ZeroStatusScan(Codelet):
     }
 
     def compute_all(self, views, params, cost: CostContext) -> np.ndarray:
-        from repro.core.compression import segment_bounds
+        return self.bind(params, cost)(views)
 
+    def bind(self, params, cost: CostContext):
         cols = int(params["cols"][0])
         threads = int(params["threads"][0])
-        compress = views["compress"]
-        batch = compress.shape[0]
-        rows = compress.shape[1] // cols
-        positions = compress.reshape(batch, rows, cols)
-        counts = views["zero_count"].reshape(batch, rows, threads)
-        covers = views["col_cover"][0]  # identical broadcast row
-        # Touch only each segment's populated front slots — the compression
-        # payoff: work scales with the zero count, not with n.
-        occupancy = counts.reshape(-1, threads).max(axis=0)
-        parts = [
-            positions[..., start : start + occ]
-            for (start, stop), occ in zip(segment_bounds(cols, threads), occupancy)
-            if stop > start and occ > 0
-        ]
-        if parts:
-            pos = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
-            flat = pos.reshape(batch * rows, -1)
-            valid = flat >= 0
-            open_col = np.take(covers, flat, mode="clip") == 0
-            hit = valid & open_col
-            has_zero = hit.any(axis=1)
-            first = hit.argmax(axis=1)
-            found_col = flat[np.arange(flat.shape[0]), first]
-            has_zero = has_zero.reshape(batch, rows)
-            found_col = found_col.reshape(batch, rows)
-            zeros_scanned = valid.sum(axis=1).reshape(batch, rows).sum(axis=1)
-        else:
-            has_zero = np.zeros((batch, rows), dtype=bool)
-            found_col = np.full((batch, rows), -1, dtype=np.int64)
-            zeros_scanned = np.zeros(batch, dtype=np.int64)
-        has_zero = has_zero & (views["row_cover"] == 0)
-        found_col = np.where(has_zero, found_col, -1)
-        starred = views["row_star"] >= 0
-        status = np.where(has_zero, np.where(starred, 0, 1), -1)
-        views["zero_status"][...] = status
-        views["zero_col"][...] = found_col
-        # Fused per-tile arg-max (max status, lowest local row on ties).
-        best = status.argmax(axis=1)
-        take = np.arange(batch)
-        partial = views["partial"]
-        partial[:, 0] = status[take, best]
-        partial[:, 1] = params["row0"].astype(np.int64) + best
-        partial[:, 2] = found_col[take, best]
-        partial[:, 3] = views["row_star"][take, best]
-        if params.get("full_scan") is not None and params["full_scan"][0]:
-            # Compression ablation: charge what scanning the raw slack rows
-            # would cost (the computation itself is unchanged).
-            work = rows * np.asarray(cost.scan_cycles(cols)) * np.ones(batch)
-        else:
-            work = (
-                zeros_scanned
-                * (cost.cycles_per_dynamic_access + cost.cycles_per_alu_op)
-                + rows * 2 * cost.cycles_per_alu_op
-            )
-        return np.ceil(work / cost.threads_per_tile) + np.asarray(
-            cost.segmented(cost.scan_cycles(rows))
-        )
+        bounds = segment_bounds(cols, threads)
+        row0 = params["row0"].astype(np.int64)
+        full_scan = params.get("full_scan") is not None and params["full_scan"][0]
+        per_zero = cost.cycles_per_dynamic_access + cost.cycles_per_alu_op
+        #: rows -> (per-row status cost, row scan cycles): constant per plan.
+        row_costs: dict[int, tuple[float, np.ndarray]] = {}
+
+        def scan(views) -> np.ndarray:
+            compress = views["compress"]
+            batch = compress.shape[0]
+            rows = compress.shape[1] // cols
+            positions = compress.reshape(batch, rows, cols)
+            counts = views["zero_count"].reshape(batch, rows, threads)
+            covers = views["col_cover"][0]  # identical broadcast row
+            # Touch only each segment's populated front slots — the
+            # compression payoff: work scales with the zero count, not n.
+            occupancy = counts.reshape(-1, threads).max(axis=0).tolist()
+            parts = [
+                positions[..., start : start + occ]
+                for (start, stop), occ in zip(bounds, occupancy)
+                if stop > start and occ > 0
+            ]
+            if parts:
+                pos = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
+                flat = pos.reshape(batch * rows, -1)
+                valid = flat >= 0
+                open_col = np.take(covers, flat, mode="clip") == 0
+                hit = valid & open_col
+                has_zero = hit.any(axis=1)
+                first = hit.argmax(axis=1)
+                found_col = flat[np.arange(flat.shape[0]), first]
+                has_zero = has_zero.reshape(batch, rows)
+                found_col = found_col.reshape(batch, rows)
+                zeros_scanned = valid.sum(axis=1).reshape(batch, rows).sum(axis=1)
+            else:
+                has_zero = np.zeros((batch, rows), dtype=bool)
+                found_col = np.full((batch, rows), -1, dtype=np.int64)
+                zeros_scanned = np.zeros(batch, dtype=np.int64)
+            has_zero = has_zero & (views["row_cover"] == 0)
+            found_col = np.where(has_zero, found_col, -1)
+            starred = views["row_star"] >= 0
+            status = np.where(has_zero, np.where(starred, 0, 1), -1)
+            views["zero_status"][...] = status
+            views["zero_col"][...] = found_col
+            # Fused per-tile arg-max (max status, lowest local row on ties).
+            best = status.argmax(axis=1)
+            take = np.arange(batch)
+            partial = views["partial"]
+            partial[:, 0] = status[take, best]
+            partial[:, 1] = row0 + best
+            partial[:, 2] = found_col[take, best]
+            partial[:, 3] = views["row_star"][take, best]
+            costs = row_costs.get(rows)
+            if costs is None:
+                costs = row_costs[rows] = (
+                    rows * 2 * cost.cycles_per_alu_op,
+                    np.asarray(cost.segmented(cost.scan_cycles(rows))),
+                )
+            if full_scan:
+                # Compression ablation: charge what scanning the raw slack
+                # rows would cost (the computation itself is unchanged).
+                work = rows * np.asarray(cost.scan_cycles(cols)) * np.ones(batch)
+            else:
+                work = zeros_scanned * per_zero + costs[0]
+            return np.ceil(work / cost.threads_per_tile) + costs[1]
+
+        return scan
+
+
+@functools.lru_cache(maxsize=64)
+def _combine_cycles(cost: CostContext, tiles: int) -> float:
+    """Cycles to scan ``tiles`` 4-tuples: a per-plan constant, priced once."""
+    return float(np.asarray(cost.scan_cycles(tiles * 4)))
 
 
 class StatusArgmaxPartial(Codelet):
@@ -146,7 +166,7 @@ class StatusArgmaxPartial(Codelet):
         best = score.argmax(axis=1)
         take = np.arange(batch)
         views["winner"][...] = partials[take, best]
-        return np.full(batch, float(np.asarray(cost.scan_cycles(tiles * 4))))
+        return np.full(batch, _combine_cycles(cost, tiles))
 
 
 class StatusArgmaxFinal(Codelet):
@@ -182,7 +202,7 @@ class StatusArgmaxFinal(Codelet):
         views["flag_update"][:, 0] = status == -1
         views["flag_aug"][:, 0] = status == 1
         views["prime_count"][:, 0] += status == 0
-        return np.full(batch, float(np.asarray(cost.scan_cycles(tiles * 4))))
+        return np.full(batch, _combine_cycles(cost, tiles))
 
 
 class PrimeRowUpdate(Codelet):
@@ -191,19 +211,28 @@ class PrimeRowUpdate(Codelet):
     fields = {"sel": "in", "row_prime": "inout", "row_cover": "inout"}
 
     def compute_all(self, views, params, cost: CostContext) -> np.ndarray:
-        sel = views["sel"][0]
-        row, col = int(sel[1]), int(sel[2])
+        return self.bind(params, cost)(views)
+
+    def bind(self, params, cost: CostContext):
         starts = params["start"].astype(np.int64)
-        length = views["row_prime"].shape[1]
-        local = row - starts
-        owns = (local >= 0) & (local < length)
-        if owns.any():
+        check_cycles = 2.0 * cost.cycles_per_alu_op
+        owner_cycles = 2 * cost.cycles_per_dynamic_access
+
+        def prime_rows(views) -> np.ndarray:
+            sel = views["sel"][0]
+            row, col = int(sel[1]), int(sel[2])
+            length = views["row_prime"].shape[1]
+            local = row - starts
+            owns = (local >= 0) & (local < length)
+            cycles = np.full(len(starts), check_cycles)
             owners = np.flatnonzero(owns)
-            views["row_prime"][owners, local[owners]] = col
-            views["row_cover"][owners, local[owners]] = 1
-        cycles = np.full(len(starts), 2.0 * cost.cycles_per_alu_op)
-        cycles[owns] += 2 * cost.cycles_per_dynamic_access
-        return cycles
+            if len(owners):
+                views["row_prime"][owners, local[owners]] = col
+                views["row_cover"][owners, local[owners]] = 1
+                cycles[owners] += owner_cycles
+            return cycles
+
+        return prime_rows
 
 
 def build_step4(

@@ -32,7 +32,7 @@ from __future__ import annotations
 import abc
 import dataclasses
 import math
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -124,6 +124,20 @@ class Codelet(abc.ABC):
     def name(self) -> str:
         """Codelet name used in profiler reports."""
         return type(self).__name__
+
+    def bind(
+        self, params: Mapping[str, np.ndarray], cost: CostContext
+    ) -> Callable[[Mapping[str, np.ndarray]], np.ndarray]:
+        """:meth:`compute_all` with ``params`` and ``cost`` fixed.
+
+        Both are compile-time constants, so the engine binds each compute
+        set once, when it builds its schedule, and calls the result with
+        the views on every superstep.  A codelet whose compute rule derives
+        values from its params overrides this to derive them once, and
+        implements :meth:`compute_all` as ``self.bind(params, cost)(views)``
+        so both entry points run the same code.
+        """
+        return lambda views: self.compute_all(views, params, cost)
 
     @abc.abstractmethod
     def compute_all(

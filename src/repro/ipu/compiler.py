@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import operator
 from typing import TYPE_CHECKING, Literal
 
 import numpy as np
@@ -42,6 +43,8 @@ from repro.obs.spans import child_span
 __all__ = ["FieldPlan", "ExecutionPlan", "CompiledGraph", "compile_graph"]
 
 logger = logging.getLogger(__name__)
+
+_VERSION = operator.attrgetter("version")
 
 #: Accepted values of ``compile_graph``'s / ``Engine``'s ``check`` argument.
 CHECK_MODES = ("off", "warn", "strict")
@@ -162,7 +165,15 @@ class ExecutionPlan:
         #: Sorted unique physical tile ids, aligned with
         #: :meth:`tile_cycle_totals` output (deep profiler attribution).
         self.tile_ids = tiles_in_use
-        self.tiles_in_use = len(tiles_in_use)
+        self._view_tensors = tuple(
+            field_plan.tensor for field_plan in self.field_plans.values()
+        )
+        self._needs_scatter = any(
+            not field_plan.aliases_memory
+            for field_plan in self.field_plans.values()
+        )
+        self._cached_batch: dict[str, np.ndarray] = {}
+        self._cached_versions: tuple[int, ...] | None = None
 
     @property
     def batched(self) -> bool:
@@ -178,25 +189,17 @@ class ExecutionPlan:
         cache so repeated executions never read a stale view.  Steady-state
         runs (no rebinds) still cost no allocation.
         """
-        versions = tuple(
-            field_plan.tensor.version
-            for field_plan in self.field_plans.values()
-        )
-        cached = getattr(self, "_cached_batch", None)
-        if cached is not None and getattr(self, "_cached_batch_versions", None) == versions:
-            return cached, False
+        versions = tuple(map(_VERSION, self._view_tensors))
+        if versions == self._cached_versions:
+            return self._cached_batch, False
         views = {
             field: field_plan.gather()
             for field, field_plan in self.field_plans.items()
         }
-        needs_scatter = any(
-            not field_plan.aliases_memory
-            for field_plan in self.field_plans.values()
-        )
-        if not needs_scatter:
+        if not self._needs_scatter:
             self._cached_batch = views
-            self._cached_batch_versions = versions
-        return views, needs_scatter
+            self._cached_versions = versions
+        return views, self._needs_scatter
 
     def tile_compute_cycles(self, vertex_cycles: np.ndarray, spec: IPUSpec) -> float:
         """BSP compute-phase cost: the busiest tile's busiest worker slot.
@@ -213,19 +216,6 @@ class ExecutionPlan:
     def tile_cycle_totals(self, vertex_cycles: np.ndarray) -> np.ndarray:
         """Summed cycles per tile in use (for load-balance diagnostics)."""
         return np.bincount(self._tile_keys, weights=vertex_cycles)
-
-    def tile_cycle_stats(self, vertex_cycles: np.ndarray) -> tuple[float, float, float]:
-        """``(max, mean, imbalance)`` of per-tile cycle totals.
-
-        ``imbalance`` is the max/mean ratio over the tiles this compute set
-        actually uses — the quantity the paper's C3 constraint (slowest
-        tile gates the superstep) makes worth watching.  1.0 means a
-        perfectly balanced superstep.
-        """
-        totals = self.tile_cycle_totals(vertex_cycles)
-        peak = float(totals.max(initial=0.0))
-        mean = float(totals.mean()) if len(totals) else 0.0
-        return peak, mean, (peak / mean if mean > 0 else 1.0)
 
 
 @dataclasses.dataclass

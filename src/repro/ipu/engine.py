@@ -1,11 +1,22 @@
 """The BSP execution engine.
 
-Interprets a compiled program tree.  Each :class:`Execute` node runs its
-compute set as one Bulk-Synchronous-Parallel superstep (§III-A): the
-**compute** phase runs every vertex (batched numpy when the plan allows,
-per-vertex otherwise) and costs as much as the slowest tile's busiest worker
-slot; the **sync** phase costs a fixed barrier; the **exchange** phase costs
-the compute set's statically planned byte volume over the fabric.
+Runs a compiled program.  Each :class:`Execute` node runs its compute set
+as one Bulk-Synchronous-Parallel superstep (§III-A): the **compute** phase
+runs every vertex (batched numpy when the plan allows, per-vertex
+otherwise) and costs as much as the slowest tile's busiest worker slot; the
+**sync** phase costs a fixed barrier; the **exchange** phase costs the
+compute set's statically planned byte volume over the fabric.
+
+Like Poplar, the engine fixes everything it can before the first cycle: the
+constructor binds the program tree into a flat *schedule* — a tuple of
+closures, one per :class:`Execute` or :class:`Copy`, with each control-flow
+node holding its body's flattened tuple.  Every bound step carries its
+plan, codelet, params and the superstep's sync and exchange seconds
+(:func:`~repro.ipu.profiler.fixed_charges`), so a run does no tree walk
+and no per-superstep cost-model work beyond the compute phase.  Each step
+emits one :class:`~repro.ipu.profiler.SuperstepCharge` to the run's
+subscribers: the profiler always, the per-tile accumulator, tracer and
+metrics registry only when enabled.
 
 Two execution modes exist:
 
@@ -21,14 +32,14 @@ fast path.
 from __future__ import annotations
 
 import logging
-from typing import Literal
+from typing import Callable, Literal
 
 import numpy as np
 
 from repro.errors import ExecutionError
 from repro.ipu.compiler import CompiledGraph, ExecutionPlan, compile_graph
-from repro.ipu.graph import ComputeGraph
-from repro.ipu.profiler import ProfileReport, Profiler
+from repro.ipu.graph import ComputeGraph, ComputeSet
+from repro.ipu.profiler import ProfileReport, Profiler, SuperstepCharge, fixed_charges
 from repro.obs.metrics import IMBALANCE_RATIO_BUCKETS, MetricsRegistry
 from repro.obs.spans import child_span
 from repro.obs.trace import NULL_TRACER, NullTracer
@@ -47,6 +58,9 @@ from repro.ipu.tensor import Tensor
 __all__ = ["Engine"]
 
 logger = logging.getLogger(__name__)
+
+#: A bound schedule step: runs one superstep or one control-flow node.
+Step = Callable[[], None]
 
 
 class Engine:
@@ -95,9 +109,10 @@ class Engine:
         #: never go deep never pay for them.
         self._deep_profiler: Profiler | None = None
         self._profiler: Profiler | None = None
-        self._tracer: NullTracer = NULL_TRACER
         self._metrics: MetricsRegistry | None = None
+        self._run = _RunState()
         self._running = False
+        self._schedule = self._bind(self.compiled.program)
 
     # ------------------------------------------------------------------
     # Host data movement (charged as host I/O)
@@ -158,23 +173,32 @@ class Engine:
                 "engine is not reentrant; lease one engine per thread"
             )
         self._running = True
-        self._tracer = tracer if tracer is not None else NULL_TRACER
+        run = self._run
+        run.tracer = tracer if tracer is not None else NULL_TRACER
         self._metrics = metrics
         if profile_tiles:
             if self._deep_profiler is None:
                 self._deep_profiler = Profiler(self.compiled.spec, tiles=True)
             self._profiler = self._deep_profiler
-        elif profile_detail or self._tracer.enabled or metrics is not None:
+        elif profile_detail or run.tracer.enabled or metrics is not None:
             self._profiler = self._owned_profiler
         else:
             self._profiler = self._lite_profiler
         self._profiler.reset()
         logger.debug(
-            "engine run start: mode=%s, tracing=%s", self.mode, self._tracer.enabled
+            "engine run start: mode=%s, tracing=%s", self.mode, run.tracer.enabled
         )
+        sinks = list(self._profiler.sinks)
+        if run.tracer.enabled:
+            sinks.append(self._trace_superstep)
+        if metrics is not None:
+            sinks.append(self._observe_superstep)
+        run.sinks = tuple(sinks)
+        run.tile_sinks = len(sinks) > 1
         try:
             with child_span("engine.run", mode=self.mode) as span:
-                self._run_program(self.compiled.program)
+                for step in self._schedule:
+                    step()
                 report = self._profiler.report()
                 span.set(
                     supersteps=report.supersteps,
@@ -188,237 +212,331 @@ class Engine:
             return report
         finally:
             self._profiler = None
-            self._tracer = NULL_TRACER
             self._metrics = None
+            run.tracer = NULL_TRACER
+            run.sinks = ()
             self._running = False
 
-    def _run_program(self, program: Program) -> None:
+    # ------------------------------------------------------------------
+    # Binding: program tree -> flat schedule (once, at construction)
+    # ------------------------------------------------------------------
+
+    def _bind(self, program: Program) -> tuple[Step, ...]:
+        """Flatten ``program`` into bound steps; control flow nests tuples."""
         if isinstance(program, Sequence):
-            for child in program.programs:
-                self._run_program(child)
-        elif isinstance(program, Execute):
-            self._run_compute_set(self.compiled.plan_for(program.compute_set))
-        elif isinstance(program, Repeat):
-            for _ in range(program.count):
-                self._run_program(program.body)
-        elif isinstance(program, RepeatWhileTrue):
-            tracing = self._tracer.enabled
+            return tuple(
+                step for child in program.programs for step in self._bind(child)
+            )
+        if isinstance(program, Execute):
+            return (self._bind_execute(program.compute_set),)
+        if isinstance(program, Repeat):
+            return (self._bind_repeat(program.count, self._bind(program.body)),)
+        if isinstance(program, RepeatWhileTrue):
+            return (self._bind_while(program, self._bind(program.body)),)
+        if isinstance(program, If):
+            then_steps = self._bind(program.then_body)
+            else_steps = self._bind(program.else_body or Nop())
+            return (self._bind_if(program.condition, then_steps, else_steps),)
+        if isinstance(program, Copy):
+            return (self._bind_copy(program),)
+        if isinstance(program, Nop):
+            return ()
+        raise ExecutionError(f"unknown program node {type(program).__name__}")
+
+    # Bound steps reach the in-flight run only through ``self._run``, never
+    # through ``self``: an engine -> schedule -> engine cycle would keep
+    # every discarded engine alive until a full garbage collection.
+
+    @staticmethod
+    def _bind_repeat(count: int, body: tuple[Step, ...]) -> Step:
+        def repeat() -> None:
+            for _ in range(count):
+                for step in body:
+                    step()
+
+        return repeat
+
+    def _bind_while(
+        self, program: RepeatWhileTrue, body: tuple[Step, ...]
+    ) -> Step:
+        condition = program.condition
+        name = condition.name
+        max_iterations = program.max_iterations
+        run = self._run
+
+        def repeat_while_true() -> None:
+            tracer = run.tracer
+            tracing = tracer.enabled
             if tracing:
-                self._tracer.loop_enter(program.condition.name)
+                tracer.loop_enter(name)
             iterations = 0
-            while self._scalar_truthy(program.condition):
+            while condition.data.item(0) != 0:
                 iterations += 1
-                if iterations > program.max_iterations:
+                if iterations > max_iterations:
                     raise ExecutionError(
-                        f"RepeatWhileTrue on {program.condition.name!r} "
-                        f"exceeded {program.max_iterations} iterations"
+                        f"RepeatWhileTrue on {name!r} "
+                        f"exceeded {max_iterations} iterations"
                     )
                 if tracing:
-                    self._tracer.loop_iter(program.condition.name, iterations)
-                self._run_program(program.body)
+                    tracer.loop_iter(name, iterations)
+                for step in body:
+                    step()
             if tracing:
-                self._tracer.loop_exit(program.condition.name, iterations)
-        elif isinstance(program, If):
-            if self._scalar_truthy(program.condition):
-                if self._tracer.enabled:
-                    self._tracer.branch(program.condition.name, "then")
-                self._run_program(program.then_body)
+                tracer.loop_exit(name, iterations)
+
+        return repeat_while_true
+
+    def _bind_if(
+        self,
+        condition: Tensor,
+        then_steps: tuple[Step, ...],
+        else_steps: tuple[Step, ...],
+    ) -> Step:
+        name = condition.name
+        run = self._run
+
+        def branch() -> None:
+            if condition.data.item(0) != 0:
+                taken, steps = "then", then_steps
             else:
-                if self._tracer.enabled:
-                    self._tracer.branch(program.condition.name, "else")
-                if program.else_body is not None:
-                    self._run_program(program.else_body)
-        elif isinstance(program, Copy):
-            self._run_copy(program)
-        elif isinstance(program, Nop):
-            pass
-        else:  # pragma: no cover - defensive
-            raise ExecutionError(f"unknown program node {type(program).__name__}")
+                taken, steps = "else", else_steps
+            if run.tracer.enabled:
+                run.tracer.branch(name, taken)
+            for step in steps:
+                step()
 
-    @staticmethod
-    def _scalar_truthy(tensor: Tensor) -> bool:
-        return bool(tensor.flat()[0] != 0)
+        return branch
 
-    def _run_copy(self, copy: Copy) -> None:
-        copy.destination.flat()[:] = copy.source.flat()
-        assert self._profiler is not None
+    def _bind_copy(self, copy: Copy) -> Step:
         spec = self.compiled.spec
-        tiles_per_ipu = spec.num_tiles if spec.num_ipus > 1 else None
-        total, inter = copy.exchange_bytes_split(tiles_per_ipu)
-        name = f"copy/{copy.source.name}->{copy.destination.name}"
-        charge = self._profiler.record_superstep(
-            name,
-            compute_cycles=0.0,
-            exchange_bytes=total,
-            inter_ipu_bytes=inter,
-            # Copy traffic lands in the destination tensor; attribute it
-            # there so per-tensor totals still sum to exchange_bytes.
-            exchange_by_tensor=(
-                {copy.destination.name: total}
-                if total and self._profiler.tiles
-                else None
-            ),
+        source, destination = copy.source, copy.destination
+        total, inter = copy.exchange_bytes_split(
+            spec.num_tiles if spec.num_ipus > 1 else None
         )
-        if self._tracer.enabled:
-            extra = {"inter_ipu_bytes": inter} if spec.num_ipus > 1 else {}
-            self._tracer.superstep(
-                name,
-                total_seconds=charge.total_seconds,
-                compute_seconds=charge.compute_seconds,
-                sync_seconds=charge.sync_seconds,
-                exchange_seconds=charge.exchange_seconds,
-                exchange_bytes=total,
-                **extra,
-            )
-        if self._metrics is not None:
-            self._observe_superstep_metrics(name, total)
+        # Copy traffic lands in the destination tensor; attribute it there
+        # so per-tensor totals still sum to exchange_bytes.
+        charge = SuperstepCharge(
+            f"copy/{source.name}->{destination.name}",
+            0.0,
+            0.0,
+            *fixed_charges(spec, total, inter),
+            total,
+            inter,
+            exchange_by_tensor={destination.name: total} if total else None,
+        )
+        run = self._run
 
-    # ------------------------------------------------------------------
-    # Compute sets
-    # ------------------------------------------------------------------
+        def copy_step() -> None:
+            destination.flat()[:] = source.flat()
+            for sink in run.sinks:
+                sink(charge)
 
-    @staticmethod
-    def _invoke_codelet(codelet, views, params, cost, compute_set_name: str):
-        """Run one codelet batch, wrapping its faults with BSP context.
+        return copy_step
 
-        A codelet that raises (or returns something that cannot become a
-        float cycle array) would otherwise surface as a bare exception with
-        no indication of *which* superstep died; every failure here becomes
-        an :class:`ExecutionError` naming the compute set, with the original
-        exception chained as the cause.
-        """
-        try:
-            return np.asarray(
-                codelet.compute_all(views, params, cost), dtype=np.float64
-            )
-        except ExecutionError:
-            raise
-        except Exception as exc:
-            raise ExecutionError(
-                f"codelet {codelet.name} failed in compute set "
-                f"{compute_set_name!r}: {exc}"
-            ) from exc
-
-    def _run_compute_set(self, plan: ExecutionPlan) -> None:
+    def _bind_execute(self, compute_set: ComputeSet) -> Step:
+        plan = self.compiled.plan_for(compute_set)
+        spec = self.compiled.spec
         cost = self.compiled.cost_context
         if plan.batched and self.mode == "batched":
-            views, needs_scatter = plan.batch_views()
-            cycles = self._invoke_codelet(
-                plan.codelet,
-                views,
-                plan.param_arrays,
-                cost,
-                plan.compute_set.name,
+            run_vertices = self._bind_batch(plan)
+        else:
+            run_vertices = self._bind_per_vertex(plan)
+        name = compute_set.name
+        overhead = cost.vertex_overhead_cycles
+        clock_hz = spec.clock_hz
+        sync_seconds, exchange_seconds = fixed_charges(
+            spec, plan.exchange_bytes, plan.inter_ipu_bytes
+        )
+        exchange_bytes, inter_ipu_bytes = plan.exchange_bytes, plan.inter_ipu_bytes
+        tile_ids, by_tensor, ipus = plan.tile_ids, plan.exchange_by_tensor, plan.ipus
+        slowest_slot = plan.tile_compute_cycles
+        tile_totals = plan.tile_cycle_totals
+        run = self._run
+
+        def execute() -> None:
+            cycles = run_vertices() + overhead
+            compute_cycles = slowest_slot(cycles, spec)
+            charge = SuperstepCharge(
+                name,
+                compute_cycles,
+                compute_cycles / clock_hz,
+                sync_seconds,
+                exchange_seconds,
+                exchange_bytes,
+                inter_ipu_bytes,
+                tile_ids,
+                tile_totals(cycles) if run.tile_sinks else None,
+                by_tensor,
+                ipus,
             )
-            if cycles.shape != (len(plan.compute_set.vertices),):
+            for sink in run.sinks:
+                sink(charge)
+
+        return execute
+
+    # ------------------------------------------------------------------
+    # Compute phase
+    # ------------------------------------------------------------------
+
+    def _bind_batch(self, plan: ExecutionPlan) -> Callable[[], np.ndarray]:
+        """One ``compute_all`` over every vertex of a uniform compute set."""
+        codelet = plan.codelet
+        name = plan.compute_set.name
+        kernel = codelet.bind(plan.param_arrays, self.compiled.cost_context)
+        shape = (len(plan.compute_set.vertices),)
+        batch_views = plan.batch_views
+        field_plans = tuple(plan.field_plans.items())
+
+        def run_batch() -> np.ndarray:
+            views, needs_scatter = batch_views()
+            cycles = _invoke_codelet(kernel, views, codelet, name)
+            if cycles.shape != shape:
                 raise ExecutionError(
-                    f"codelet {plan.codelet.name} returned cycle array of "
-                    f"shape {cycles.shape}, expected "
-                    f"({len(plan.compute_set.vertices)},)"
+                    f"codelet {codelet.name} returned cycle array of "
+                    f"shape {cycles.shape}, expected {shape}"
                 )
             if needs_scatter:
-                for field, field_plan in plan.field_plans.items():
+                for field, field_plan in field_plans:
                     field_plan.scatter(views[field])
-        else:
-            cycles = self._run_per_vertex(plan, cost)
-        cycles += cost.vertex_overhead_cycles
-        compute_cycles = plan.tile_compute_cycles(cycles, self.compiled.spec)
-        assert self._profiler is not None
-        if self._profiler.tiles:
-            charge = self._profiler.record_superstep(
-                plan.compute_set.name,
-                compute_cycles=compute_cycles,
-                exchange_bytes=plan.exchange_bytes,
-                inter_ipu_bytes=plan.inter_ipu_bytes,
-                tile_ids=plan.tile_ids,
-                tile_cycles=plan.tile_cycle_totals(cycles),
-                exchange_by_tensor=plan.exchange_by_tensor,
-            )
-        else:
-            charge = self._profiler.record_superstep(
-                plan.compute_set.name,
-                compute_cycles=compute_cycles,
-                exchange_bytes=plan.exchange_bytes,
-                inter_ipu_bytes=plan.inter_ipu_bytes,
-            )
-        if self._tracer.enabled:
-            peak, mean, imbalance = plan.tile_cycle_stats(cycles)
-            # Multi-IPU attribution only on clusters, so single-chip trace
-            # events (and golden traces) keep their exact historical shape.
-            extra = (
-                {"inter_ipu_bytes": plan.inter_ipu_bytes, "ipus": list(plan.ipus)}
-                if self.compiled.spec.num_ipus > 1
-                else {}
-            )
-            self._tracer.superstep(
-                plan.compute_set.name,
-                total_seconds=charge.total_seconds,
-                compute_seconds=charge.compute_seconds,
-                sync_seconds=charge.sync_seconds,
-                exchange_seconds=charge.exchange_seconds,
-                exchange_bytes=plan.exchange_bytes,
-                tiles_in_use=plan.tiles_in_use,
-                max_tile_cycles=peak,
-                mean_tile_cycles=mean,
-                imbalance=imbalance,
-                **extra,
-            )
-        if self._metrics is not None:
-            self._observe_superstep_metrics(
-                plan.compute_set.name, plan.exchange_bytes, plan, cycles
-            )
+            return cycles
 
-    def _observe_superstep_metrics(
-        self,
-        name: str,
-        exchange_bytes: int,
-        plan: ExecutionPlan | None = None,
-        cycles: np.ndarray | None = None,
-    ) -> None:
-        """Feed the opt-in per-superstep instruments (see docs/observability.md)."""
-        assert self._metrics is not None
-        self._metrics.counter(
-            "engine.supersteps", "BSP supersteps executed"
-        ).inc()
-        self._metrics.histogram(
-            "engine.exchange_bytes", "exchange-phase bytes per superstep"
-        ).observe(exchange_bytes)
-        if plan is not None and cycles is not None:
-            _, _, imbalance = plan.tile_cycle_stats(cycles)
-            self._metrics.histogram(
-                "engine.tile_imbalance",
-                "max/mean compute cycles over tiles in use, per superstep",
-                buckets=IMBALANCE_RATIO_BUCKETS,
-            ).observe(imbalance)
-            self._metrics.histogram(
-                "engine.tile_compute_cycles",
-                "slowest-tile compute cycles per superstep",
-            ).observe(float(plan.tile_cycle_totals(cycles).max(initial=0.0)))
+        return run_batch
 
-    def _run_per_vertex(self, plan: ExecutionPlan, cost) -> np.ndarray:
+    def _bind_per_vertex(self, plan: ExecutionPlan) -> Callable[[], np.ndarray]:
         """Fallback: run each vertex as its own batch of one.
 
         Used for compute sets with mixed codelets or non-uniform regions,
         and for the whole graph in ``per_tile`` mode.
         """
-        vertices = plan.compute_set.vertices
-        cycles = np.zeros(len(vertices), dtype=np.float64)
-        for index, vertex in enumerate(vertices):
-            views = {}
-            for field, connection in vertex.connections.items():
-                region = connection.tensor.region(connection.start, connection.stop)
-                views[field] = region.reshape(1, -1)
-            params = {
-                name: np.array([value], dtype=np.float64)
-                for name, value in vertex.params.items()
-            }
-            vertex_cycles = self._invoke_codelet(
-                vertex.codelet, views, params, cost, plan.compute_set.name
+        cost = self.compiled.cost_context
+        name = plan.compute_set.name
+        vertices = tuple(
+            (
+                vertex.codelet,
+                vertex.codelet.bind(
+                    {
+                        key: np.array([value], dtype=np.float64)
+                        for key, value in vertex.params.items()
+                    },
+                    cost,
+                ),
+                tuple(
+                    (field, c.tensor, c.start, c.stop)
+                    for field, c in vertex.connections.items()
+                ),
             )
-            if vertex_cycles.shape != (1,):
-                raise ExecutionError(
-                    f"codelet {vertex.codelet.name} returned cycle array of "
-                    f"shape {vertex_cycles.shape} for a single vertex"
-                )
-            cycles[index] = vertex_cycles[0]
-        return cycles
+            for vertex in plan.compute_set.vertices
+        )
+
+        def run_per_vertex() -> np.ndarray:
+            cycles = np.zeros(len(vertices), dtype=np.float64)
+            for index, (codelet, kernel, connections) in enumerate(vertices):
+                views = {
+                    field: tensor.region(start, stop).reshape(1, -1)
+                    for field, tensor, start, stop in connections
+                }
+                vertex_cycles = _invoke_codelet(kernel, views, codelet, name)
+                if vertex_cycles.shape != (1,):
+                    raise ExecutionError(
+                        f"codelet {codelet.name} returned cycle array of "
+                        f"shape {vertex_cycles.shape} for a single vertex"
+                    )
+                cycles[index] = vertex_cycles[0]
+            return cycles
+
+        return run_per_vertex
+
+    # ------------------------------------------------------------------
+    # Optional superstep sinks
+    # ------------------------------------------------------------------
+
+    def _trace_superstep(self, charge: SuperstepCharge) -> None:
+        # Multi-IPU attribution only on clusters, so single-chip trace
+        # events (and golden traces) keep their exact historical shape.
+        multi_ipu = self.compiled.spec.num_ipus > 1
+        fields = dict(
+            total_seconds=charge.total_seconds,
+            compute_seconds=charge.compute_seconds,
+            sync_seconds=charge.sync_seconds,
+            exchange_seconds=charge.exchange_seconds,
+            exchange_bytes=charge.exchange_bytes,
+        )
+        if charge.tile_ids is not None:
+            peak, mean, imbalance = _tile_stats(charge.tile_cycles)
+            fields.update(
+                tiles_in_use=len(charge.tile_ids),
+                max_tile_cycles=peak,
+                mean_tile_cycles=mean,
+                imbalance=imbalance,
+            )
+        if multi_ipu:
+            fields["inter_ipu_bytes"] = charge.inter_ipu_bytes
+            if charge.tile_ids is not None:
+                fields["ipus"] = list(charge.ipus)
+        self._run.tracer.superstep(charge.name, **fields)
+
+    def _observe_superstep(self, charge: SuperstepCharge) -> None:
+        """Feed the opt-in per-superstep instruments (see docs/observability.md)."""
+        metrics = self._metrics
+        assert metrics is not None
+        metrics.counter("engine.supersteps", "BSP supersteps executed").inc()
+        metrics.histogram(
+            "engine.exchange_bytes", "exchange-phase bytes per superstep"
+        ).observe(charge.exchange_bytes)
+        if charge.tile_ids is not None:
+            peak, _, imbalance = _tile_stats(charge.tile_cycles)
+            metrics.histogram(
+                "engine.tile_imbalance",
+                "max/mean compute cycles over tiles in use, per superstep",
+                buckets=IMBALANCE_RATIO_BUCKETS,
+            ).observe(imbalance)
+            metrics.histogram(
+                "engine.tile_compute_cycles",
+                "slowest-tile compute cycles per superstep",
+            ).observe(peak)
+
+
+class _RunState:
+    """What bound steps read of the in-flight run (set by :meth:`Engine.run`).
+
+    ``sinks`` are the run's superstep subscribers; ``tile_sinks`` tells
+    whether any of them reads per-tile cycle totals.
+    """
+
+    __slots__ = ("tracer", "sinks", "tile_sinks")
+
+    def __init__(self) -> None:
+        self.tracer: NullTracer = NULL_TRACER
+        self.sinks: tuple[Callable[[SuperstepCharge], None], ...] = ()
+        self.tile_sinks = False
+
+
+def _invoke_codelet(kernel, views, codelet, compute_set_name: str):
+    """Run one bound codelet batch, wrapping its faults with BSP context.
+
+    A codelet that raises (or returns something that cannot become a float
+    cycle array) would otherwise surface as a bare exception with no
+    indication of *which* superstep died; every failure here becomes an
+    :class:`ExecutionError` naming the compute set, with the original
+    exception chained as the cause.
+    """
+    try:
+        return np.asarray(kernel(views), dtype=np.float64)
+    except ExecutionError:
+        raise
+    except Exception as exc:
+        raise ExecutionError(
+            f"codelet {codelet.name} failed in compute set "
+            f"{compute_set_name!r}: {exc}"
+        ) from exc
+
+
+def _tile_stats(tile_cycles: np.ndarray) -> tuple[float, float, float]:
+    """``(max, mean, max/mean)`` of a superstep's per-tile cycle totals.
+
+    The ratio is the load imbalance the paper's C3 constraint (the slowest
+    tile gates the superstep) makes worth watching; 1.0 is perfect balance.
+    """
+    peak = float(tile_cycles.max(initial=0.0))
+    mean = float(tile_cycles.mean()) if len(tile_cycles) else 0.0
+    return peak, mean, (peak / mean if mean > 0 else 1.0)

@@ -1,10 +1,10 @@
 """Execution profiling: per-compute-set and per-tile BSP phase accounting.
 
-The engine reports, for every superstep, the three BSP phase costs the paper
-reasons about (§III-A): compute (slowest tile), synchronization (fixed), and
-exchange (bytes over the fabric).  The profiler aggregates them by compute
-set name, which is how HunIPU's per-step costs (Step 1 ... Step 6) surface
-in benchmark output.
+The engine reports, for every superstep, one :class:`SuperstepCharge`
+holding the three BSP phase costs the paper reasons about (§III-A): compute
+(slowest tile), synchronization (fixed), and exchange (bytes over the
+fabric).  The profiler aggregates them by compute set name, which is how
+HunIPU's per-step costs (Step 1 ... Step 6) surface in benchmark output.
 
 Three profiling depths exist, selected when the engine runs:
 
@@ -86,15 +86,55 @@ class StepRecord:
 
 
 class SuperstepCharge(typing.NamedTuple):
-    """Phase costs charged for one superstep (returned for tracing)."""
+    """One executed superstep: the record every superstep sink consumes.
 
+    The engine builds exactly one per superstep and hands it to each
+    subscriber in turn (the profiler always; the per-tile accumulator, the
+    tracer and the metrics registry when enabled).  Sync and exchange
+    seconds come from :func:`fixed_charges`, priced once per compute set or
+    copy when the engine binds its schedule; only the compute phase varies
+    at run time.
+    """
+
+    name: str
+    compute_cycles: float
     compute_seconds: float
     sync_seconds: float
     exchange_seconds: float
+    exchange_bytes: int = 0
+    #: Subset of ``exchange_bytes`` that crosses chip boundaries; any
+    #: cross-chip byte also makes the superstep pay the external barrier.
+    inter_ipu_bytes: int = 0
+    #: Compute supersteps only: the sorted physical tiles in use.
+    tile_ids: np.ndarray | None = None
+    #: Per-tile cycle totals aligned with ``tile_ids``; computed only when a
+    #: subscriber needs them (deep profiling, tracing, metrics).
+    tile_cycles: np.ndarray | None = None
+    #: Static exchange bytes per tensor (values sum to ``exchange_bytes``).
+    exchange_by_tensor: typing.Mapping[str, int] | None = None
+    #: Chips the superstep runs vertices on.
+    ipus: tuple[int, ...] = (0,)
 
     @property
     def total_seconds(self) -> float:
         return self.compute_seconds + self.sync_seconds + self.exchange_seconds
+
+
+def fixed_charges(
+    spec: IPUSpec, exchange_bytes: int, inter_ipu_bytes: int = 0
+) -> tuple[float, float]:
+    """``(sync_seconds, exchange_seconds)`` of a superstep moving these bytes.
+
+    In the BSP cost model (§III-A) both depend only on the statically
+    planned exchange, so they are fixed per compute set.  A superstep that
+    moves any cross-chip bytes pays the external (inter-IPU) barrier on top
+    of the on-chip one; purely local supersteps sync each chip
+    independently at the normal cost.
+    """
+    sync_seconds = spec.sync_seconds()
+    if inter_ipu_bytes > 0:
+        sync_seconds += spec.inter_ipu_sync_extra_seconds()
+    return sync_seconds, spec.exchange_seconds(exchange_bytes, inter_ipu_bytes)
 
 
 # ----------------------------------------------------------------------
@@ -284,16 +324,12 @@ class _TileAccumulator:
         self.series: list[SuperstepSample] = []
         self.exchange_by_tensor: dict[str, int] = {}
 
-    def record(
-        self,
-        name: str,
-        charge: SuperstepCharge,
-        compute_cycles: float,
-        exchange_bytes: int,
-        tile_ids: np.ndarray | None,
-        tile_cycles: np.ndarray | None,
-        exchange_by_tensor: typing.Mapping[str, int] | None,
-    ) -> None:
+    def record(self, charge: SuperstepCharge) -> None:
+        name = charge.name
+        compute_cycles = charge.compute_cycles
+        exchange_by_tensor = charge.exchange_by_tensor
+        tile_ids = charge.tile_ids
+        tile_cycles = charge.tile_cycles
         if exchange_by_tensor:
             for tensor, moved in exchange_by_tensor.items():
                 self.exchange_by_tensor[tensor] = (
@@ -312,7 +348,7 @@ class _TileAccumulator:
             self.compute_sets[name] = row
         row["executions"] += 1
         row["compute_cycles"] += compute_cycles
-        row["exchange_bytes"] += exchange_bytes
+        row["exchange_bytes"] += charge.exchange_bytes
         if exchange_by_tensor:
             per_tensor = row["exchange_by_tensor"]
             for tensor, moved in exchange_by_tensor.items():
@@ -602,21 +638,21 @@ class ProfileReport:
 
 
 class Profiler:
-    """Mutable accumulator used by the engine during a run.
+    """Mutable accumulator of a run's superstep records.
 
-    ``detailed=False`` switches to aggregate-only accounting: per-name
-    records are skipped (the whole run collapses into one synthetic
-    ``all/aggregate`` record at :meth:`report` time).  ``tiles=True``
-    (deep mode, implies detailed) additionally accumulates per-tile
-    attribution fed by the engine.
+    :meth:`record` is the engine's always-on subscriber.  ``detailed=False``
+    switches to aggregate-only accounting: per-name records are skipped
+    (the whole run collapses into one synthetic ``all/aggregate`` record at
+    :meth:`report` time).  ``tiles=True`` (deep mode, implies detailed)
+    adds the per-tile accumulator to :attr:`sinks`.
 
     Every depth accumulates the run-total scalars (supersteps, compute
     cycles, exchange seconds/bytes) through the same statements in the
     same order, so the headline totals of a report are bit-identical
-    across depths; only attribution granularity differs.  The exchange
-    phase is priced per superstep in all modes because its cost model is
-    not linear (overlapping transfers + a setup constant that vanishes for
-    empty exchanges).
+    across depths; only attribution granularity differs.  Exchange seconds
+    are summed per superstep from each record's plan-time charge: the cost
+    model is not linear in bytes (overlapping transfers + a setup constant
+    that vanishes for empty exchanges), so no run total can stand in.
     """
 
     def __init__(
@@ -638,11 +674,6 @@ class Profiler:
     def detailed(self) -> bool:
         return self._detailed
 
-    @property
-    def tiles(self) -> bool:
-        """True when the engine should feed per-tile data (deep mode)."""
-        return self._tiles is not None
-
     def reset(self) -> None:
         """Clear accumulated charges so the profiler can serve another run.
 
@@ -661,6 +692,44 @@ class Profiler:
         if self._tiles is not None:
             self._tiles.reset()
 
+    @property
+    def sinks(self) -> tuple[typing.Callable[[SuperstepCharge], None], ...]:
+        """The superstep subscribers this profiler contributes.
+
+        Always :meth:`record`; deep mode adds the per-tile accumulator.
+        """
+        if self._tiles is None:
+            return (self.record,)
+        return (self.record, self._tiles.record)
+
+    def record(self, charge: SuperstepCharge) -> None:
+        """Accumulate one superstep record (the engine's always-on sink)."""
+        compute_cycles = charge.compute_cycles
+        exchange_bytes = charge.exchange_bytes
+        inter_ipu_bytes = charge.inter_ipu_bytes
+        # Shared accumulation path: identical statements in identical
+        # order for every profiling depth => bit-identical run totals.
+        self._supersteps += 1
+        if inter_ipu_bytes > 0:
+            self._inter_syncs += 1
+        self._agg_compute_cycles += compute_cycles
+        self._agg_exchange_seconds += charge.exchange_seconds
+        self._agg_exchange_bytes += exchange_bytes
+        self._agg_inter_ipu_bytes += inter_ipu_bytes
+        if not self._detailed:
+            return
+        record = self._records.get(charge.name)
+        if record is None:
+            record = self._records[charge.name] = StepRecord(charge.name)
+        record.executions += 1
+        record.compute_seconds += charge.compute_seconds
+        record.sync_seconds += charge.sync_seconds
+        record.exchange_seconds += charge.exchange_seconds
+        record.exchange_bytes += exchange_bytes
+        record.inter_ipu_bytes += inter_ipu_bytes
+        record.inter_ipu_syncs += inter_ipu_bytes > 0
+        record.compute_cycles += compute_cycles
+
     def record_superstep(
         self,
         name: str,
@@ -671,64 +740,32 @@ class Profiler:
         tile_ids: np.ndarray | None = None,
         tile_cycles: np.ndarray | None = None,
         exchange_by_tensor: typing.Mapping[str, int] | None = None,
-    ) -> SuperstepCharge | None:
-        """Charge one BSP superstep: compute + sync + exchange.
+    ) -> SuperstepCharge:
+        """Price one superstep from its raw quantities and feed :attr:`sinks`.
 
-        ``inter_ipu_bytes`` is the subset of the exchange crossing chip
-        boundaries (charged at IPU-Link bandwidth).  A superstep that
-        moves any cross-chip bytes additionally pays the *external* sync
-        barrier (``spec.inter_ipu_sync_extra_seconds()``) on top of the
-        on-chip one — purely local supersteps sync each chip independently
-        at the normal cost.  In deep mode the
-        engine additionally passes the superstep's per-tile cycle totals
-        (``tile_ids``/``tile_cycles``) and the compute set's static
-        per-tensor exchange attribution.  Returns the charged phase
-        seconds so callers (the engine) can trace the superstep without
-        recomputing the cost model; aggregate-only profilers return
-        ``None`` (tracing forces a detailed profiler).
+        The direct-use form of the engine's path: ``inter_ipu_bytes`` is the
+        cross-chip subset of the exchange (see :func:`fixed_charges`);
+        deep profilers also take the superstep's per-tile cycle totals
+        (``tile_ids``/``tile_cycles``) and per-tensor exchange attribution.
+        Returns the record.
         """
-        exchange_seconds = self._spec.exchange_seconds(
-            exchange_bytes, inter_ipu_bytes
+        sync_seconds, exchange_seconds = fixed_charges(
+            self._spec, exchange_bytes, inter_ipu_bytes
         )
-        inter_sync = inter_ipu_bytes > 0
-        # Shared accumulation path: identical statements in identical
-        # order for every profiling depth => bit-identical run totals.
-        self._supersteps += 1
-        if inter_sync:
-            self._inter_syncs += 1
-        self._agg_compute_cycles += compute_cycles
-        self._agg_exchange_seconds += exchange_seconds
-        self._agg_exchange_bytes += exchange_bytes
-        self._agg_inter_ipu_bytes += inter_ipu_bytes
-        if not self._detailed:
-            return None
-        sync_seconds = self._spec.sync_seconds()
-        if inter_sync:
-            sync_seconds += self._spec.inter_ipu_sync_extra_seconds()
         charge = SuperstepCharge(
-            compute_seconds=self._spec.cycles_to_seconds(compute_cycles),
-            sync_seconds=sync_seconds,
-            exchange_seconds=exchange_seconds,
+            name,
+            compute_cycles,
+            self._spec.cycles_to_seconds(compute_cycles),
+            sync_seconds,
+            exchange_seconds,
+            exchange_bytes,
+            inter_ipu_bytes,
+            tile_ids,
+            tile_cycles,
+            exchange_by_tensor,
         )
-        record = self._records.setdefault(name, StepRecord(name))
-        record.executions += 1
-        record.compute_seconds += charge.compute_seconds
-        record.sync_seconds += charge.sync_seconds
-        record.exchange_seconds += charge.exchange_seconds
-        record.exchange_bytes += exchange_bytes
-        record.inter_ipu_bytes += inter_ipu_bytes
-        record.inter_ipu_syncs += int(inter_sync)
-        record.compute_cycles += compute_cycles
-        if self._tiles is not None:
-            self._tiles.record(
-                name,
-                charge,
-                compute_cycles,
-                exchange_bytes,
-                tile_ids,
-                tile_cycles,
-                exchange_by_tensor,
-            )
+        for sink in self.sinks:
+            sink(charge)
         return charge
 
     def record_host_io(self, num_bytes: int) -> None:

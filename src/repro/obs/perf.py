@@ -284,8 +284,9 @@ def run_suite(
     """Measure the built-in suite; returns ``repro.perf/1`` run rows.
 
     Every benchmark reports ``wall_seconds`` (alternating-round minimum).
-    Solve legs add ``device_seconds`` (modeled, deterministic) and
-    ``supersteps`` (exact); the batch benchmark adds
+    Solve legs add ``device_seconds`` (modeled, deterministic),
+    ``supersteps`` (exact) and the informational
+    ``host_us_per_superstep`` (wall over supersteps); the batch benchmark adds
     ``instances_per_second``.  Their graphs are pre-compiled before timing
     so rounds measure execution, not the one-off compile.  The
     ``compile/n{size}`` legs time exactly that compile — graph build plus
@@ -388,6 +389,9 @@ def run_suite(
                     "wall_seconds": timings[key].best,
                     "device_seconds": result.device_time_s,
                     "supersteps": result.stats["supersteps"],
+                    "host_us_per_superstep": (
+                        timings[key].best / result.stats["supersteps"] * 1e6
+                    ),
                 },
                 "context": context,
             }

@@ -111,6 +111,28 @@ class TestStep2:
         assert state.tau.read_host()[0] == tau
         assert state.step2_iter.read_host()[0] == tau
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "known defect: SortRowsDescending sorts each compressed row as a "
+            "whole, so until Step 6 recompresses, the per-segment front-packed "
+            "layout zero_count describes no longer holds and ZeroStatusScan "
+            "can miss uncovered zeros (ROADMAP open item)"
+        ),
+    )
+    def test_compress_layout_survives_step2(self, rng):
+        n = 12
+        spec, plan, graph, state = _fresh(n)
+        compress = build_compress(graph, state, plan)
+        step2 = build_step2(graph, state, plan)
+        slack = rng.choice([0.0, 1.0, 3.0], size=(n, n))
+        state.initialize_host(slack)
+        _run(graph, Sequence(compress, step2))
+        expected_compress, _ = compress_rows_host(
+            slack, spec.threads_per_tile, tol=1e-11
+        )
+        assert np.array_equal(state.compress.read_host(), expected_compress)
+
     def test_all_zero_matrix_gets_perfect_initial_matching(self):
         n = 8
         spec, plan, graph, state = _fresh(n)

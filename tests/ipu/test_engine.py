@@ -1,5 +1,8 @@
 """Tests for the BSP engine: semantics, costs, and mode equivalence."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,11 +24,14 @@ from repro.ipu.programs import (
     Execute,
     If,
     Nop,
+    Program,
     Repeat,
     RepeatWhileTrue,
     Sequence,
 )
 from repro.ipu.spec import IPUSpec
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
 
 
 def _counter_graph(spec):
@@ -98,6 +104,37 @@ class TestControlFlow:
         Engine(graph, If(flag, Execute(inc))).run()
         assert counter.read_host()[0] == 0
 
+    def test_while_loop_overflow_message(self, toy_spec):
+        graph, _, flag, inc, _ = _counter_graph(toy_spec)
+        flag.write_host(1)
+        engine = Engine(graph, RepeatWhileTrue(flag, Execute(inc), max_iterations=3))
+        with pytest.raises(
+            ExecutionError,
+            match=r"^RepeatWhileTrue on 'flag' exceeded 3 iterations$",
+        ):
+            engine.run()
+
+    def test_unknown_program_node_rejected_at_construction(self, toy_spec):
+        class Mystery(Program):
+            def compute_sets(self):
+                return ()
+
+        graph, *_ = _counter_graph(toy_spec)
+        with pytest.raises(ExecutionError, match="unknown program node Mystery"):
+            Engine(graph, Sequence(Nop(), Mystery()))
+
+    def test_rebinding_buffer_between_runs_invalidates_views(self, toy_spec):
+        # The bound schedule caches zero-copy views; a buffer rebind between
+        # two runs must send the second run's writes to the new buffer.
+        graph, counter, _, inc, _ = _counter_graph(toy_spec)
+        engine = Engine(graph, Repeat(2, Execute(inc)))
+        engine.run()
+        old_buffer = counter.data
+        counter.data = np.array([10.0], dtype=counter.dtype)
+        engine.run()
+        assert counter.read_host()[0] == 12
+        assert old_buffer[0] == 2
+
     def test_nop(self, toy_spec):
         graph, *_ = _counter_graph(toy_spec)
         report = Engine(graph, Nop()).run()
@@ -122,20 +159,24 @@ class TestReentrancy:
         # Regression: a second run() while one was in flight silently
         # cross-wired the in-flight run's profiler/tracer/metrics state
         # (the inner run's finally nulled them out from under the outer).
-        graph, counter, _, inc, _ = _counter_graph(toy_spec)
-        engine = Engine(graph, Repeat(3, Execute(inc)))
         seen = []
-        original = engine._run_program
 
-        def reenter(program):
-            # _run_program recurses through control flow; re-enter once.
-            if not seen:
-                seen.append(True)
-                with pytest.raises(ExecutionError, match="not reentrant"):
-                    engine.run()
-            return original(program)
+        class Reentering(AddToScalar):
+            def compute_all(self, views, params, cost):
+                # Re-enter once, from inside the first superstep.
+                if not seen:
+                    seen.append(True)
+                    with pytest.raises(ExecutionError, match="not reentrant"):
+                        engine.run()
+                return super().compute_all(views, params, cost)
 
-        engine._run_program = reenter
+        graph = ComputeGraph(toy_spec)
+        counter = graph.add_scalar("counter")
+        inc = graph.add_compute_set("inc")
+        inc.add_vertex(
+            Reentering(), 0, {"out": ComputeGraph.full(counter)}, params={"value": 1}
+        )
+        engine = Engine(graph, Repeat(3, Execute(inc)))
         report = engine.run()  # the outer run must be unharmed
         assert seen == [True]
         assert counter.read_host()[0] == 3
@@ -150,6 +191,28 @@ class TestReentrancy:
         engine._running = False
         engine.run()
         assert counter.read_host()[0] == 2
+
+
+class TestLifetime:
+    def test_discarded_engine_is_freed_without_a_collection(self, toy_spec):
+        # The bound schedule must not reference its engine: a cycle would
+        # keep every discarded engine (and its plans) alive until a full
+        # garbage collection, raising peak memory for compile-per-solve use.
+        graph, _, flag, inc, check = _counter_graph(toy_spec)
+        program = Sequence(
+            Execute(check),
+            RepeatWhileTrue(flag, Sequence(Execute(inc), Execute(check))),
+            If(flag, Execute(inc), Nop()),
+        )
+        engine = Engine(graph, program)
+        engine.run(tracer=Tracer(), metrics=MetricsRegistry())
+        alive = weakref.ref(engine)
+        gc.disable()
+        try:
+            del engine
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 class TestCostAccounting:
