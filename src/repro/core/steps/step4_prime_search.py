@@ -71,8 +71,6 @@ class ZeroStatusScan(Codelet):
         row0 = params["row0"].astype(np.int64)
         full_scan = params.get("full_scan") is not None and params["full_scan"][0]
         per_zero = cost.cycles_per_dynamic_access + cost.cycles_per_alu_op
-        #: rows -> (per-row status cost, row scan cycles): constant per plan.
-        row_costs: dict[int, tuple[float, np.ndarray]] = {}
 
         def scan(views) -> np.ndarray:
             compress = views["compress"]
@@ -119,26 +117,33 @@ class ZeroStatusScan(Codelet):
             partial[:, 1] = row0 + best
             partial[:, 2] = found_col[take, best]
             partial[:, 3] = views["row_star"][take, best]
-            costs = row_costs.get(rows)
-            if costs is None:
-                costs = row_costs[rows] = (
-                    rows * 2 * cost.cycles_per_alu_op,
-                    np.asarray(cost.segmented(cost.scan_cycles(rows))),
-                )
+            status_cycles, row_scan_cycles = _row_cycles(cost, rows)
             if full_scan:
                 # Compression ablation: charge what scanning the raw slack
                 # rows would cost (the computation itself is unchanged).
                 work = rows * np.asarray(cost.scan_cycles(cols)) * np.ones(batch)
             else:
-                work = zeros_scanned * per_zero + costs[0]
-            return np.ceil(work / cost.threads_per_tile) + costs[1]
+                work = zeros_scanned * per_zero + status_cycles
+            return np.ceil(work / cost.threads_per_tile) + row_scan_cycles
 
         return scan
 
 
+# Charges that depend only on a plan's shape, priced once per shape.
+
+
+@functools.lru_cache(maxsize=64)
+def _row_cycles(cost: CostContext, rows: int) -> tuple[float, np.ndarray]:
+    """The status scan's per-row status cost and its row-scan cycles."""
+    return (
+        rows * 2 * cost.cycles_per_alu_op,
+        np.asarray(cost.segmented(cost.scan_cycles(rows))),
+    )
+
+
 @functools.lru_cache(maxsize=64)
 def _combine_cycles(cost: CostContext, tiles: int) -> float:
-    """Cycles to scan ``tiles`` 4-tuples: a per-plan constant, priced once."""
+    """Cycles to scan ``tiles`` arg-max 4-tuples."""
     return float(np.asarray(cost.scan_cycles(tiles * 4)))
 
 
