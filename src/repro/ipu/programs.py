@@ -7,8 +7,9 @@ time").  Data-dependent iteration is expressed with
 :class:`RepeatWhileTrue`, whose condition is a one-element tensor written by
 the body's own compute sets, so control never leaves the device.
 
-The engine interprets the program tree; each :class:`Execute` is one BSP
-superstep (compute + sync + exchange).
+The engine binds the program tree into a flat schedule once, when it is
+constructed; each :class:`Execute` is one BSP superstep (compute + sync +
+exchange).
 """
 
 from __future__ import annotations
