@@ -359,14 +359,13 @@ class BatchSolver:
             solved = instance if instance.size == target else _padded_view(
                 instance, target
             )
-            report = solver._run_engine(compiled, solved, profile_detail=False)
+            report = solver._run_engine(compiled, solved)
             result = solver._build_result(
                 compiled,
                 solved,
                 report,
                 float(spans[slot, 0, 0]),
                 perf_counter() - solve_start,
-                detailed_stats=False,
             )
             if instance.size != target:
                 result = _restrict_result(result, instance, target)

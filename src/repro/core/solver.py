@@ -410,15 +410,11 @@ class HunIPUSolver:
         compiled: CompiledInstance,
         instance: LAPInstance,
         *,
-        profile_detail: bool = True,
         warm: bool = False,
     ):
         """Run the compiled program once (state must already be loaded).
 
-        ``profile_detail=False`` requests aggregate-only profiling (see
-        :meth:`repro.ipu.engine.Engine.run`) — the batch path's throughput
-        mode; tracing still forces a detailed run.  ``warm=True`` runs the
-        seeded program instead of the cold one.
+        ``warm=True`` runs the seeded program instead of the cold one.
         """
         if self.tracer.enabled:
             self.tracer.event(
@@ -434,7 +430,6 @@ class HunIPUSolver:
         return engine.run(
             tracer=self.tracer,
             metrics=self._engine_metrics,
-            profile_detail=profile_detail,
             profile_tiles=self.profile_tiles,
         )
 
@@ -447,16 +442,10 @@ class HunIPUSolver:
         wall: float,
         *,
         return_slack: bool = False,
-        detailed_stats: bool = True,
         warm: bool = False,
         capture_warm_start: bool = False,
     ) -> AssignmentResult:
-        """Read back device state and package an :class:`AssignmentResult`.
-
-        ``detailed_stats=False`` skips the per-step time breakdown (seven
-        scans over the superstep records) — the batch path uses it to keep
-        per-instance post-processing cheap.
-        """
+        """Read back device state and package an :class:`AssignmentResult`."""
         state = compiled.state
         assignment = state.row_star.read_host().astype(np.int64)
         check_perfect_matching(assignment, instance.size)
@@ -483,19 +472,10 @@ class HunIPUSolver:
             "host_io_s": self.spec.host_io_seconds(state.slack.nbytes),
             "profile": report,
         }
-        if detailed_stats:
-            stats["step_seconds"] = {
-                prefix: report.by_prefix(prefix)
-                for prefix in (
-                    "step1",
-                    "compress",
-                    "step2",
-                    "step3",
-                    "step4",
-                    "step5",
-                    "step6",
-                )
-            }
+        # The paper's steps only: data movement ("copy") is not a step.
+        step_seconds = report.step_seconds()
+        del step_seconds["copy"]
+        stats["step_seconds"] = step_seconds
         stats["warm_start_used"] = warm
         if return_slack or capture_warm_start:
             final_slack = state.slack.read_host().astype(np.float64) * scale

@@ -16,7 +16,9 @@ plan, codelet, params and the superstep's sync and exchange seconds
 and no per-superstep cost-model work beyond the compute phase.  Each step
 emits one :class:`~repro.ipu.profiler.SuperstepCharge` to the run's
 subscribers: the profiler always, the per-tile accumulator, tracer and
-metrics registry only when enabled.
+metrics registry only when enabled.  Every run profiles per compute set
+(:class:`~repro.ipu.profiler.StepRecord`); ``profile_tiles=True`` adds
+per-tile attribution.
 
 Two execution modes exist:
 
@@ -100,10 +102,8 @@ class Engine:
         self.mode = mode
         #: Profilers reused (via reset) across runs, so repeated solves on
         #: a compiled graph pay no per-run construction; ``_profiler`` is only
-        #: non-None while a run is in flight.  The lite profiler serves
-        #: ``profile_detail=False`` runs (aggregate totals only).
+        #: non-None while a run is in flight.
         self._owned_profiler = Profiler(self.compiled.spec)
-        self._lite_profiler = Profiler(self.compiled.spec, detailed=False)
         #: Deep (per-tile) profiler, built on first ``profile_tiles=True``
         #: run — its per-tile arrays cost ~tiles*3 float64s, so runs that
         #: never go deep never pay for them.
@@ -115,22 +115,6 @@ class Engine:
         self._schedule = self._bind(self.compiled.program)
 
     # ------------------------------------------------------------------
-    # Host data movement (charged as host I/O)
-    # ------------------------------------------------------------------
-
-    def write_tensor(self, tensor: Tensor, values: np.ndarray | float) -> None:
-        """Host-to-device write of a whole tensor."""
-        tensor.write_host(values)
-        if self._profiler is not None:
-            self._profiler.record_host_io(tensor.nbytes)
-
-    def read_tensor(self, tensor: Tensor) -> np.ndarray:
-        """Device-to-host read of a whole tensor."""
-        if self._profiler is not None:
-            self._profiler.record_host_io(tensor.nbytes)
-        return tensor.read_host()
-
-    # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
 
@@ -139,7 +123,6 @@ class Engine:
         *,
         tracer: NullTracer | None = None,
         metrics: MetricsRegistry | None = None,
-        profile_detail: bool = True,
         profile_tiles: bool = False,
     ) -> ProfileReport:
         """Execute the program once and return the cost report.
@@ -149,18 +132,12 @@ class Engine:
         histogram observations.  Both default to off, which costs one
         attribute check per superstep.
 
-        ``profile_detail=False`` runs with aggregate-only profiling: the
-        report keeps the run's total device time and byte volume but has no
-        per-compute-set attribution, in exchange for lower per-superstep
-        bookkeeping (the batch path's throughput mode).  Tracing or
-        per-superstep metrics force a detailed profiler, since both consume
-        the per-superstep charges.
-
-        ``profile_tiles=True`` selects the deep profiler: everything the
-        detailed mode reports plus per-tile attribution on
+        The report always carries one :class:`~repro.ipu.profiler.StepRecord`
+        per compute set.  ``profile_tiles=True`` selects the deep profiler:
+        everything the detailed mode reports plus per-tile attribution on
         :attr:`ProfileReport.tiles` (straggler counts, occupancy, an
-        imbalance time series, per-tensor exchange bytes).  All three
-        depths produce bit-identical run totals.
+        imbalance time series, per-tensor exchange bytes).  Both depths
+        produce bit-identical run totals and records.
         """
         if self._running:
             # A second run() while one is in flight (another thread, or a
@@ -180,10 +157,8 @@ class Engine:
             if self._deep_profiler is None:
                 self._deep_profiler = Profiler(self.compiled.spec, tiles=True)
             self._profiler = self._deep_profiler
-        elif profile_detail or run.tracer.enabled or metrics is not None:
-            self._profiler = self._owned_profiler
         else:
-            self._profiler = self._lite_profiler
+            self._profiler = self._owned_profiler
         self._profiler.reset()
         logger.debug(
             "engine run start: mode=%s, tracing=%s", self.mode, run.tracer.enabled

@@ -180,6 +180,9 @@ class TestFastPath:
             np.testing.assert_array_equal(seq.assignment, bat.assignment)
             assert seq.total_cost == bat.total_cost  # exact, not approx
             assert seq.stats["supersteps"] == bat.stats["supersteps"]
+            # The batch path profiles at the same depth as solve().
+            assert bat.stats["profile"].records == seq.stats["profile"].records
+            assert bat.stats["step_seconds"] == seq.stats["step_seconds"]
 
     def test_results_in_input_order(self, toy_spec, rng):
         sizes = [9, 6, 9, 6]

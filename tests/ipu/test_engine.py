@@ -273,21 +273,6 @@ class TestCostAccounting:
         balanced = report2.record_named("balanced").compute_seconds
         assert unbalanced > balanced  # C3: the slowest tile sets the pace
 
-    def test_host_io_charged_through_engine(self, toy_spec):
-        graph = ComputeGraph(toy_spec)
-        tensor = graph.add_tensor(
-            "x", (1000,), np.float32, mapping=TileMapping.single_tile(1000)
-        )
-        compute_set = graph.add_compute_set("fill")
-        compute_set.add_vertex(
-            Fill(), 0, {"data": ComputeGraph.full(tensor)}, params={"value": 1}
-        )
-        engine = Engine(graph, Execute(compute_set))
-        # write_tensor outside run() is free (profiler inactive)...
-        engine.write_tensor(tensor, np.zeros(1000, dtype=np.float32))
-        report = engine.run()
-        assert report.host_io_seconds == 0.0
-
     def test_profiler_reset_between_runs(self, toy_spec):
         graph, counter, _, inc, _ = _counter_graph(toy_spec)
         engine = Engine(graph, Execute(inc))

@@ -1,12 +1,11 @@
-"""Differential tests across the three profiling depths.
+"""Differential tests across the two profiling depths.
 
-Lite (aggregate-only), detailed (per-compute-set), and deep (per-tile)
-profiling must tell the same story: every depth accumulates the run totals
+Detailed (per-compute-set) and deep (per-tile) profiling must tell the
+same story: both accumulate the run totals and the per-name records
 through the same statements in the same order, so supersteps, compute
-cycles, phase seconds, and byte volumes are **bit-identical** — exact
-``==``, not approx.  A drift here means the profiling mode changed what
-was measured, which would silently invalidate the lite-mode batch
-throughput numbers against the detailed benchmark tables.
+cycles, phase seconds, byte volumes and every ``StepRecord`` are
+**bit-identical** — exact ``==``, not approx.  A drift here means turning
+on per-tile attribution changed what was measured.
 """
 
 import pytest
@@ -16,18 +15,15 @@ from repro.data.synthetic import uniform_instance
 
 
 def _reports(size, engine_mode, seed=11):
-    """Solve the same instance at each depth; return the three reports."""
+    """Solve the same instance at each depth; return the two reports."""
     instance = uniform_instance(size, 1, seed=seed)
     reports = {}
-    for depth in ("lite", "detailed", "deep"):
+    for depth in ("detailed", "deep"):
         solver = HunIPUSolver(
             engine_mode=engine_mode, profile_tiles=depth == "deep"
         )
         compiled = solver.compiled_for(size)
-        report = solver._run_engine(
-            compiled, instance, profile_detail=depth != "lite"
-        )
-        reports[depth] = report
+        reports[depth] = solver._run_engine(compiled, instance)
     return reports
 
 
@@ -36,27 +32,15 @@ def _reports(size, engine_mode, seed=11):
 class TestBitIdenticalTotals:
     def test_headline_totals_identical(self, size, engine_mode):
         reports = _reports(size, engine_mode)
-        lite, detailed, deep = (
-            reports["lite"], reports["detailed"], reports["deep"]
-        )
-        for other in (detailed, deep):
-            assert other.supersteps == lite.supersteps
-            assert other.compute_cycles == lite.compute_cycles
-            assert other.phase_compute_seconds == lite.phase_compute_seconds
-            assert other.phase_sync_seconds == lite.phase_sync_seconds
-            assert other.phase_exchange_seconds == lite.phase_exchange_seconds
-            assert other.device_seconds == lite.device_seconds
-            assert other.exchange_bytes == lite.exchange_bytes
-            assert other.inter_ipu_bytes == lite.inter_ipu_bytes
-
-    def test_lite_aggregate_record_matches_detailed_sums(self, size, engine_mode):
-        reports = _reports(size, engine_mode)
-        (aggregate,) = reports["lite"].records
-        detailed = reports["detailed"].records
-        assert aggregate.name == "all/aggregate"
-        assert aggregate.executions == sum(r.executions for r in detailed)
-        assert aggregate.exchange_bytes == sum(r.exchange_bytes for r in detailed)
-        assert aggregate.compute_cycles == reports["detailed"].compute_cycles
+        detailed, deep = reports["detailed"], reports["deep"]
+        assert deep.supersteps == detailed.supersteps
+        assert deep.compute_cycles == detailed.compute_cycles
+        assert deep.phase_compute_seconds == detailed.phase_compute_seconds
+        assert deep.phase_sync_seconds == detailed.phase_sync_seconds
+        assert deep.phase_exchange_seconds == detailed.phase_exchange_seconds
+        assert deep.device_seconds == detailed.device_seconds
+        assert deep.exchange_bytes == detailed.exchange_bytes
+        assert deep.inter_ipu_bytes == detailed.inter_ipu_bytes
 
     def test_detailed_and_deep_records_identical(self, size, engine_mode):
         reports = _reports(size, engine_mode)

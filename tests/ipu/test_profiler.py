@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ipu.profiler import Profiler
+from repro.ipu.profiler import Profiler, StepRecord
 from repro.ipu.spec import IPUSpec
 
 
@@ -45,6 +45,35 @@ class TestAccumulation:
         profiler.record_superstep("a", 100, 0)
         assert report.record_named("a").executions == 1
 
+    def test_reports_stay_cumulative_in_first_execution_order(self, profiler):
+        profiler.record_superstep("a", 100, 0)
+        profiler.record_superstep("b", 100, 0)
+        first = profiler.report()
+        profiler.record_superstep("c", 100, 0)
+        profiler.record_superstep("a", 200, 0)
+        second = profiler.report()
+        assert [r.name for r in second.records] == ["a", "b", "c"]
+        assert second.record_named("a").executions == 2
+        assert second.record_named("a").compute_cycles == 300.0
+        assert second.record_named("b") == first.record_named("b")
+        assert first.record_named("a").executions == 1
+        assert second.supersteps == 4
+
+    def test_record_accumulates_every_field(self, profiler):
+        charge = profiler.record_superstep("a", 1325, 8000, inter_ipu_bytes=4000)
+        (record,) = profiler.report().records
+        assert record == StepRecord(
+            name="a",
+            executions=1,
+            compute_seconds=charge.compute_seconds,
+            sync_seconds=charge.sync_seconds,
+            exchange_seconds=charge.exchange_seconds,
+            exchange_bytes=8000,
+            inter_ipu_bytes=4000,
+            inter_ipu_syncs=1,
+            compute_cycles=1325.0,
+        )
+
 
 class TestReportQueries:
     def test_by_prefix_sums(self, profiler):
@@ -56,6 +85,24 @@ class TestReportQueries:
         total = report.device_seconds
         assert 0 < step4 < total
         assert report.by_prefix("step9") == 0.0
+
+    def test_step_seconds_matches_by_prefix_exactly(self, profiler):
+        for name, cycles in [
+            ("step4/scan", 1000),
+            ("compress/rows", 300),
+            ("step4/final", 2000),
+            ("copy/a->b", 0),
+            ("step6/update", 5000),
+            ("other", 70),
+        ]:
+            profiler.record_superstep(name, cycles, 64)
+        report = profiler.report()
+        totals = report.step_seconds()
+        # repr() round-trips floats exactly and tells 0 from 0.0.
+        assert {prefix: repr(value) for prefix, value in totals.items()} == {
+            prefix: repr(report.by_prefix(prefix)) for prefix in totals
+        }
+        assert totals["step5"] == 0
 
     def test_record_named_missing(self, profiler):
         with pytest.raises(KeyError):

@@ -39,9 +39,6 @@ def _superstep(profiler, name, tile_ids, tile_cycles, **kwargs):
 
 
 class TestTileAttribution:
-    def test_tiles_flag_implies_detailed(self, spec):
-        assert Profiler(spec, detailed=False, tiles=True).detailed
-
     def test_cycles_attributed_to_the_right_tiles(self, profiler):
         _superstep(profiler, "step1/a", [0, 2], [100.0, 300.0])
         _superstep(profiler, "step1/a", [2, 3], [50.0, 10.0])
