@@ -127,7 +127,7 @@ def align_many(
     This is the paper's repeated-alignment workload (§I): every pair's
     similarity instance is built up front, then all instances go through
     :class:`repro.batch.BatchSolver` so same-sized pairs share one compiled
-    graph and bulk-staged uploads.  Batch-level padding is disabled here —
+    graph.  Batch-level padding is disabled here —
     the alignment-specific power-of-two padding (``pad_power_of_two``) is
     already applied on the similarity side where its semantics (zero
     similarity = worst match) are well-defined, and ``padded_size`` in the

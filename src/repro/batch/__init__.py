@@ -1,10 +1,11 @@
 """Batched multi-instance solving (see docs/batching.md).
 
-:class:`BatchSolver` amortizes per-instance overhead across a stream of LAP
-instances: grouping by compiled shape, padding stragglers onto shared
-binaries when profitable, staging normalized uploads in bulk, and flushing
-metrics once per batch.  :func:`load_batch_file` reads instance batches
-from ``.npy`` / ``.npz`` / ``.json`` files for ``repro solve --batch``.
+:class:`BatchSolver` solves a stream of LAP instances through the wrapped
+solver's ``solve``, grouped by compiled shape, with stragglers padded onto
+shared binaries when profitable (:func:`solve_at_size` is the single
+pad → solve → restrict step), and flushes metrics once per batch.
+:func:`load_batch_file` reads instance batches from ``.npy`` / ``.npz`` /
+``.json`` files for ``repro solve --batch``.
 """
 
 from repro.batch.io import load_batch_file
@@ -14,6 +15,7 @@ from repro.batch.solver import (
     GroupReport,
     choose_target,
     pad_instance_costs,
+    solve_at_size,
 )
 
 __all__ = [
@@ -23,4 +25,5 @@ __all__ = [
     "choose_target",
     "load_batch_file",
     "pad_instance_costs",
+    "solve_at_size",
 ]

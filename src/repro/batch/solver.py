@@ -2,35 +2,24 @@
 
 The paper's motivating workloads "run the Hungarian algorithm hundreds of
 times" per task (§I, §V-D); on a real IPU the Poplar binary is compiled once
-per shape and re-executed with fresh data, so throughput is won by amortizing
-everything *around* the device run.  :class:`BatchSolver` accepts a stream of
+per shape and re-executed with fresh data, so a stream should compile as few
+shapes as it can.  :class:`BatchSolver` accepts a stream of
 :class:`~repro.lap.problem.LAPInstance`\\ s and
 
-* **groups** them by solved shape, so each group pays one compile-cache
-  lookup (and at most one compile) instead of one per instance;
+* **groups** them by solved shape, so each shape compiles at most once;
 * **pads stragglers** up to a nearby already-compiled (or majority) size
   when profitable, so odd sizes ride existing binaries instead of
   compiling their own — see :func:`pad_instance_costs` for why the padded
-  optimum restricts exactly to the original instance;
-* **stages host-side prep in bulk**: all of a group's cost matrices are
-  normalized in one vectorized pass into a reusable staging buffer, then
-  streamed into the device slack tensor with no per-solve allocation
-  (:meth:`~repro.core.state.SolverState.load_costs` +
-  :meth:`~repro.core.state.SolverState.reset`), pipelining the prep for
-  instance *i+1* against the readback of instance *i*;
-* keeps per-instance post-processing lean (no per-step time breakdown, no
-  per-solve log line, one aggregated metrics flush per batch).
+  optimum restricts exactly to the original instance,
+
+and then solves every member through the wrapped solver's own ``solve``
+(:func:`solve_at_size`).  There is one execution path for every solver
+facade: the batch adds the grouping and padding policy, nothing else.
 
 Results are returned in input order and are bit-identical to one-by-one
-:meth:`~repro.core.solver.HunIPUSolver.solve` calls for instances that are
-not padded (same normalization, same engine, same tie-breaking); padded
-instances return the restriction of the padded optimum, which is the exact
-optimum of the original instance.
-
-Any solver with the library's ``solve(LAPInstance) -> AssignmentResult``
-facade works: :class:`~repro.core.solver.HunIPUSolver` takes the fast path
-described above, every other solver gets the same grouping/padding policy
-with per-instance ``solve`` calls.
+``solve`` calls for instances that are not padded; padded instances return
+the restriction of the padded optimum, which is the exact optimum of the
+original instance.
 """
 
 from __future__ import annotations
@@ -57,6 +46,7 @@ __all__ = [
     "GroupReport",
     "choose_target",
     "pad_instance_costs",
+    "solve_at_size",
 ]
 
 logger = logging.getLogger(__name__)
@@ -137,8 +127,7 @@ class GroupReport:
     instances: int
     padded: int  # how many members were padded up to ``size``
     compile_cache_hit: bool  # a compiled graph for ``size`` already existed
-    prep_seconds: float  # host-side staging + normalization
-    run_seconds: float  # engine execution + readback
+    run_seconds: float  # wall time of the members' solves
     device_seconds: float  # summed modeled device time
 
     @property
@@ -188,15 +177,14 @@ class BatchResult:
 
 
 class BatchSolver:
-    """Solve a stream of LAP instances with amortized per-instance overhead.
+    """Solve a stream of LAP instances, grouped and padded by compiled shape.
 
     Parameters
     ----------
     solver:
         Any library solver facade; defaults to a fresh
-        :class:`~repro.core.solver.HunIPUSolver`.  HunIPU solvers use the
-        amortized fast path; others fall back to per-instance ``solve``
-        behind the same grouping/padding policy.
+        :class:`~repro.core.solver.HunIPUSolver`.  Every instance is solved
+        through its ``solve`` method.
     pad_to_cached:
         Allow padding an instance up to a nearby size that is already
         compiled (or that the batch majority uses), trading a slightly
@@ -247,13 +235,8 @@ class BatchSolver:
             with wall_timer() as timer:
                 results: list[AssignmentResult | None] = [None] * len(items)
                 groups: list[GroupReport] = []
-                if items:
-                    fast = isinstance(self.solver, HunIPUSolver)
-                    for target, members in self._plan_groups(items):
-                        run_group = (
-                            self._run_group_fast if fast else self._run_group_generic
-                        )
-                        groups.append(run_group(target, members, results))
+                for target, members in self._plan_groups(items):
+                    groups.append(self._run_group(target, members, results))
             span.set(groups=len(groups))
         if tracing:
             tracer.event(
@@ -317,92 +300,21 @@ class BatchSolver:
         return sorted(groups.items())
 
     # ------------------------------------------------------------------
-    # Execution paths
+    # Execution
     # ------------------------------------------------------------------
 
-    def _run_group_fast(
+    def _run_group(
         self,
         target: int,
         members: list[tuple[int, LAPInstance]],
         results: list[AssignmentResult | None],
     ) -> GroupReport:
-        """HunIPU path: one compiled graph, bulk-staged uploads."""
-        solver: HunIPUSolver = self.solver
-        cache_hit = target in solver._compiled
-        padded_count = sum(1 for _, inst in members if inst.size != target)
-
-        prep_start = perf_counter()
-        compiled = solver.compiled_for(target)
-        staging = self._staging_buffer(len(members), target)
-        for slot, (_, instance) in enumerate(members):
-            if instance.size == target:
-                staging[slot] = instance.costs
-            else:
-                staging[slot] = pad_instance_costs(instance.costs, target)
-        # One vectorized normalization pass over the whole group; elementwise
-        # it is the same shift-then-scale as normalize_costs, so unpadded
-        # uploads are bit-identical to the sequential path.
-        mins = staging.min(axis=(1, 2), keepdims=True)
-        spans = staging.max(axis=(1, 2), keepdims=True) - mins
-        spans[spans <= 0] = 1.0
-        np.subtract(staging, mins, out=staging)
-        np.divide(staging, spans, out=staging)
-        prep_seconds = perf_counter() - prep_start
-
-        run_start = perf_counter()
-        device_seconds = 0.0
-        state = compiled.state
-        for slot, (index, instance) in enumerate(members):
-            solve_start = perf_counter()
-            state.load_costs(staging[slot])
-            state.reset()
-            solved = instance if instance.size == target else _padded_view(
-                instance, target
-            )
-            report = solver._run_engine(compiled, solved)
-            result = solver._build_result(
-                compiled,
-                solved,
-                report,
-                float(spans[slot, 0, 0]),
-                perf_counter() - solve_start,
-            )
-            if instance.size != target:
-                result = _restrict_result(result, instance, target)
-            device_seconds += report.device_seconds
-            results[index] = result
-        run_seconds = perf_counter() - run_start
-
-        return GroupReport(
-            size=target,
-            instances=len(members),
-            padded=padded_count,
-            compile_cache_hit=cache_hit,
-            prep_seconds=prep_seconds,
-            run_seconds=run_seconds,
-            device_seconds=device_seconds,
-        )
-
-    def _run_group_generic(
-        self,
-        target: int,
-        members: list[tuple[int, LAPInstance]],
-        results: list[AssignmentResult | None],
-    ) -> GroupReport:
-        """Fallback for non-HunIPU facades: same policy, plain ``solve``."""
-        padded_count = 0
+        """Solve every member of one shape group at the group's size."""
+        cache_hit = target in (getattr(self.solver, "_compiled", ()) or ())
         device_seconds = 0.0
         run_start = perf_counter()
         for index, instance in members:
-            if instance.size == target:
-                result = self.solver.solve(instance)
-            else:
-                padded_count += 1
-                padded = LAPInstance(
-                    pad_instance_costs(instance.costs, target),
-                    name=f"{instance.name}-batchpad{target}",
-                )
-                result = _restrict_result(self.solver.solve(padded), instance, target)
+            result = solve_at_size(self.solver, instance, target)
             if result.device_time_s is not None:
                 device_seconds += result.device_time_s
             results[index] = result
@@ -410,30 +322,11 @@ class BatchSolver:
         return GroupReport(
             size=target,
             instances=len(members),
-            padded=padded_count,
-            compile_cache_hit=False,
-            prep_seconds=0.0,
+            padded=sum(1 for _, instance in members if instance.size != target),
+            compile_cache_hit=cache_hit,
             run_seconds=run_seconds,
             device_seconds=device_seconds,
         )
-
-    # ------------------------------------------------------------------
-    # Helpers
-    # ------------------------------------------------------------------
-
-    def _staging_buffer(self, count: int, size: int) -> np.ndarray:
-        """A reusable ``(count, size, size)`` float64 upload buffer.
-
-        Grown (never shrunk) per solved size, so a steady stream of
-        same-shaped batches allocates exactly once.
-        """
-        buffers = getattr(self, "_buffers", None)
-        if buffers is None:
-            buffers = self._buffers = {}
-        buffer = buffers.get(size)
-        if buffer is None or buffer.shape[0] < count:
-            buffer = buffers[size] = np.empty((count, size, size), dtype=np.float64)
-        return buffer[:count]
 
     def _record_metrics(self, batch: BatchResult) -> None:
         metrics = self.metrics
@@ -445,10 +338,6 @@ class BatchSolver:
         metrics.counter(
             "batch.padded_instances", "instances padded up to a shared size"
         ).inc(sum(group.padded for group in batch.groups))
-        metrics.counter(
-            "batch.amortized_lookups",
-            "compile-cache lookups saved by grouping (instances - groups)",
-        ).inc(max(0, batch.instances - len(batch.groups)))
         metrics.gauge(
             "batch.last_instances_per_second",
             "throughput of the most recent batch (host wall clock)",
@@ -460,17 +349,21 @@ class BatchSolver:
             ).observe(group.device_seconds)
 
 
-def _padded_view(instance: LAPInstance, target: int) -> LAPInstance:
-    """A lightweight stand-in carrying the padded size and provenance name.
+def solve_at_size(solver, instance: LAPInstance, target: int) -> AssignmentResult:
+    """Solve ``instance`` as a ``target``-size problem through ``solver.solve``.
 
-    Only used for tracer events and the perfect-matching check inside
-    ``_build_result`` — the padded costs themselves were already staged, so
-    this avoids materializing a second padded matrix.
+    An instance already of size ``target`` is solved as is; a smaller one is
+    padded with :func:`pad_instance_costs`, solved, and restricted back to
+    its own rows and columns (``stats["padded_from"]`` /
+    ``stats["padded_to"]`` record the padding).
     """
-    return LAPInstance(
+    if instance.size == target:
+        return solver.solve(instance)
+    padded = LAPInstance(
         pad_instance_costs(instance.costs, target),
         name=f"{instance.name}-batchpad{target}",
     )
+    return _restrict_result(solver.solve(padded), instance, target)
 
 
 def _restrict_result(

@@ -507,9 +507,8 @@ class HunIPUSolver:
         instance of each size pays graph construction, the rest only pay
         execution.
 
-        This is the simple sequential reference path; for high-throughput
-        streams use :class:`repro.batch.BatchSolver`, which groups by
-        compiled shape, stages uploads in bulk, and amortizes per-instance
-        host overhead.
+        :class:`repro.batch.BatchSolver` runs each instance through
+        :meth:`solve` too; on top it groups a mixed-size stream by compiled
+        shape and pads stragglers onto already-compiled sizes.
         """
         return [self.solve(instance) for instance in instances]

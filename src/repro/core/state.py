@@ -190,44 +190,12 @@ class SolverState:
     def initialize_host(self, costs: np.ndarray) -> None:
         """(Re)set every state tensor for a fresh solve.
 
+        Copies ``costs`` straight into the slack tensor's element buffer and
+        refills every other tensor with its pre-Step-1 value in place.
         Resetting everything (not just what Step 1 overwrites) is what makes
         a compiled instance reusable across solves of the same size.
         """
-        self.load_costs(costs)
-        self.reset()
-
-    def load_costs(self, costs: np.ndarray) -> None:
-        """Upload a cost/slack matrix into the device slack buffer.
-
-        Copies straight into the tensor's element buffer (no intermediate
-        ``astype`` array), so a batch driver can stage many normalized
-        matrices in one host array and stream them in without per-solve
-        allocations.
-        """
         np.copyto(self.slack.data, costs, casting="same_kind")
-
-    def load_seed(
-        self,
-        row_potential: np.ndarray,
-        col_potential: np.ndarray,
-        row_star: np.ndarray,
-    ) -> None:
-        """Upload a warm-start seed (call after :meth:`reset`).
-
-        Potentials arrive already mapped into the current instance's
-        normalized units; the previous matching is clipped to int32.
-        """
-        np.copyto(self.row_potential.data, row_potential, casting="same_kind")
-        np.copyto(self.col_potential.data, col_potential, casting="same_kind")
-        self.seed_star.data[...] = np.asarray(row_star, dtype=np.int32)
-
-    def reset(self) -> None:
-        """Reset every non-slack tensor to its pre-Step-1 value.
-
-        Constant fills on the existing element buffers — no allocation, no
-        shape checks — which is what makes back-to-back solves on one
-        compiled instance cheap (the batch path calls this once per solve).
-        """
         self.compress.data.fill(-1)
         self.row_potential.data.fill(0)
         self.col_potential.data.fill(0)
@@ -266,3 +234,18 @@ class SolverState:
             scalar.data.fill(0)
         self.delta.data.fill(0)
         self.not_done.data.fill(1)
+
+    def load_seed(
+        self,
+        row_potential: np.ndarray,
+        col_potential: np.ndarray,
+        row_star: np.ndarray,
+    ) -> None:
+        """Upload a warm-start seed (call after :meth:`initialize_host`).
+
+        Potentials arrive already mapped into the current instance's
+        normalized units; the previous matching is clipped to int32.
+        """
+        np.copyto(self.row_potential.data, row_potential, casting="same_kind")
+        np.copyto(self.col_potential.data, col_potential, casting="same_kind")
+        self.seed_star.data[...] = np.asarray(row_star, dtype=np.int32)

@@ -432,7 +432,9 @@ class ProfileReport:
 
     records: tuple[StepRecord, ...]
     supersteps: int
-    host_io_seconds: float
+    #: Kept for the ``repro.profile/1`` document; an engine run charges no
+    #: host I/O (the solver prices the readback as ``stats["host_io_s"]``).
+    host_io_seconds: float = 0.0
     compute_cycles: float = 0.0
     #: Supersteps that paid the external (cross-chip) sync barrier.
     inter_ipu_syncs: int = 0
@@ -461,11 +463,6 @@ class ProfileReport:
         """Total modeled on-device time (the paper-comparable number)."""
         phases = self.phase_seconds
         return phases["compute"] + phases["sync"] + phases["exchange"]
-
-    @property
-    def total_seconds(self) -> float:
-        """Device time plus host I/O."""
-        return self.device_seconds + self.host_io_seconds
 
     @property
     def exchange_bytes(self) -> int:
@@ -503,9 +500,12 @@ class ProfileReport:
         ``by_prefix("step6")`` is the modeled cost of the slack update.
         """
         return sum(
-            record.total_seconds
-            for record in self.records
-            if record.name.startswith(prefix)
+            (
+                record.total_seconds
+                for record in self.records
+                if record.name.startswith(prefix)
+            ),
+            0.0,
         )
 
     def step_seconds(
@@ -518,7 +518,7 @@ class ProfileReport:
         prefixes must be disjoint (no record name matches two).
         """
         prefixes = tuple(prefixes)
-        totals = dict.fromkeys(prefixes, 0)  # the int start of ``sum()``
+        totals = dict.fromkeys(prefixes, 0.0)
         for record in self.records:
             prefix = _prefix_of(record.name, prefixes)
             if prefix is not None:
@@ -673,7 +673,6 @@ class Profiler:
         self._reported: dict[str, StepRecord] = {}
         self._supersteps = 0
         self._inter_syncs = 0
-        self._host_io_seconds = 0.0
         self._agg_compute_cycles = 0.0
         self._agg_exchange_seconds = 0.0
         self._tiles = _TileAccumulator(spec.total_tiles) if tiles else None
@@ -689,7 +688,6 @@ class Profiler:
         self._reported = {}
         self._supersteps = 0
         self._inter_syncs = 0
-        self._host_io_seconds = 0.0
         self._agg_compute_cycles = 0.0
         self._agg_exchange_seconds = 0.0
         if self._tiles is not None:
@@ -776,10 +774,6 @@ class Profiler:
             sink(charge)
         return charge
 
-    def record_host_io(self, num_bytes: int) -> None:
-        """Charge a host<->device transfer."""
-        self._host_io_seconds += self._spec.host_io_seconds(num_bytes)
-
     @property
     def supersteps(self) -> int:
         return self._supersteps
@@ -802,7 +796,6 @@ class Profiler:
         return ProfileReport(
             records=tuple(records.values()),
             supersteps=self._supersteps,
-            host_io_seconds=self._host_io_seconds,
             compute_cycles=self._agg_compute_cycles,
             inter_ipu_syncs=self._inter_syncs,
             phase_compute_seconds=self._spec.cycles_to_seconds(

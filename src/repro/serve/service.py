@@ -14,7 +14,7 @@ endpoint:
   coalesces queued same-shape engine-bound requests (up to ``max_batch``,
   optionally lingering ``batch_window_s`` for more to arrive) and runs the
   whole group through :class:`repro.batch.BatchSolver` on one warm engine
-  lease — one compile-cache lookup and bulk-staged uploads for the group.
+  lease, so the group shares one compiled graph.
 * **Routing and graceful degradation** (:mod:`repro.serve.router`): engine
   faults retry once with exponential backoff and then descend the
   tier's backend ladder; deadline-pressed requests skip ladder legs
@@ -45,7 +45,7 @@ from time import monotonic, sleep
 
 from repro.baselines.fastha import FastHASolver
 from repro.baselines.scipy_reference import ScipySolver
-from repro.batch.solver import BatchSolver
+from repro.batch.solver import BatchSolver, solve_at_size
 from repro.errors import ExecutionError, InvalidProblemError, ReproError, SolverError
 from repro.lap.approx import solve_auction
 from repro.lap.problem import LAPInstance
@@ -720,16 +720,8 @@ class SolverService:
         must answer the original instance, so non-2^m sizes go through the
         batch engine's exact-restriction padding instead.
         """
-        if instance.is_power_of_two:
-            return self._fastha.solve(instance)
-        from repro.batch.solver import _restrict_result, pad_instance_costs
-
         target = 1 << (instance.size - 1).bit_length()
-        padded = LAPInstance(
-            pad_instance_costs(instance.costs, target),
-            name=f"{instance.name}-servepad{target}",
-        )
-        return _restrict_result(self._fastha.solve(padded), instance, target)
+        return solve_at_size(self._fastha, instance, target)
 
     # ------------------------------------------------------------------
     # Completion

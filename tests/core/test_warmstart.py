@@ -146,6 +146,19 @@ class TestWarmExactness:
         # small fraction of the cold superstep count.
         assert again.stats["supersteps"] < first.stats["supersteps"] / 4
 
+    def test_warm_resolve_step_seconds_are_floats(self):
+        # An unchanged n=24 instance re-solved warm runs no Step 4-6
+        # superstep; those empty totals must still be floats, not int 0.
+        rng = np.random.default_rng(0)
+        solver = HunIPUSolver()
+        instance = LAPInstance(_grid_costs(rng, 24))
+        first = solver.resolve(instance, None)
+        again = solver.resolve(instance, first.stats["warm_start"])
+        assert again.stats["resolve"]["mode"] == "warm"
+        step_seconds = again.stats["step_seconds"]
+        assert step_seconds["step6"] == 0.0
+        assert all(type(value) is float for value in step_seconds.values())
+
 
 class TestResolvePolicy:
     def test_no_seed_falls_back_cold(self):

@@ -35,10 +35,6 @@ class TestAccumulation:
         profiler.record_superstep("a", 100, 0)
         assert profiler.report().record_named("a").exchange_seconds == 0.0
 
-    def test_host_io(self, profiler):
-        profiler.record_host_io(32_000_000_000)  # 32 GB at 32 GB/s
-        assert profiler.report().host_io_seconds == pytest.approx(1.0)
-
     def test_report_is_immutable_snapshot(self, profiler):
         profiler.record_superstep("a", 100, 0)
         report = profiler.report()
@@ -114,12 +110,6 @@ class TestReportQueries:
         table = profiler.report().format_table()
         assert table.index("heavy") < table.index("light")
         assert "TOTAL" in table
-
-    def test_total_includes_host_io(self, profiler):
-        profiler.record_superstep("a", 100, 0)
-        profiler.record_host_io(3_200_000)
-        report = profiler.report()
-        assert report.total_seconds > report.device_seconds
 
 
 class TestInvariants:

@@ -35,7 +35,6 @@ def report():
     profiler = Profiler(IPUSpec.mk2())
     profiler.record_superstep("step1/a", 1000, 4096)
     profiler.record_superstep("step6/b", 2000, 0)
-    profiler.record_host_io(1024)
     return profiler.report()
 
 
