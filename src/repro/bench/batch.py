@@ -163,8 +163,10 @@ def run_batch_bench(scale: BenchScale | None = None, *, seed: int = 0) -> Experi
     notes = (
         f"batch results bit-identical to sequential solves "
         f"({'OK' if identical else 'MISMATCH'})",
-        f"batch wall per instance {speedup:.2f}x lower than sequential "
-        f"({'OK' if speedup > 1.0 else 'CHECK'})",
+        # Both loops run the same solve() per instance, so the ratio is run
+        # noise around 1.0; it is reported, not judged.
+        f"sequential / batch wall per instance: {speedup:.2f} "
+        "(same solve() per instance on both paths)",
         f"mixed stream solved in {len(mixed_batch.groups)} group(s) with "
         f"{padded} padded instance(s) "
         f"({'OK' if len(mixed_batch.groups) == 1 and padded > 0 else 'CHECK'})",

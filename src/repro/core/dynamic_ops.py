@@ -15,21 +15,51 @@ are compile-time constants; on a dynamic access every segment vertex checks
 
 Costs: every vertex pays the range check plus (owner only) one dynamic
 access; the broadcast of the index scalar is exchange traffic, all of which
-the engine charges from the static plan.
+the engine charges from the static plan.  The simulator finds the owner by
+bisecting the segment starts (:func:`segment_owners`), so its host work per
+call does not grow with the number of segments; the charge still covers
+every segment's check.
 """
 
 from __future__ import annotations
+
+import bisect
+from typing import Callable
 
 import numpy as np
 
 from repro.errors import GraphConstructionError
 from repro.ipu.codelets import Codelet, CostContext
 
-__all__ = ["SENTINEL", "DynSliceSegment", "DynStore"]
+__all__ = ["SENTINEL", "DynSliceSegment", "DynStore", "segment_owners"]
 
 #: Written by non-owning segments during a dynamic slice.  Distinct from -1,
 #: which is a legitimate "no star / no prime" value in HunIPU's state.
 SENTINEL = -2
+
+
+def segment_owners(
+    starts: np.ndarray,
+) -> Callable[[int, int], list[tuple[int, int]]]:
+    """Bind-time owner lookup over per-vertex segment ``starts``.
+
+    The returned ``owners(index, length)`` lists ``(vertex, local)`` for
+    every vertex whose segment ``[start, start + length)`` holds ``index``
+    — exactly the vertices whose parallel range check succeeds — with two
+    bisections over the sorted starts.
+    """
+    order = np.argsort(starts, kind="stable")
+    sorted_starts = starts[order].astype(np.int64).tolist()
+    vertices = order.tolist()
+
+    def owners(index: int, length: int) -> list[tuple[int, int]]:
+        lo = bisect.bisect_right(sorted_starts, index - length)
+        hi = bisect.bisect_right(sorted_starts, index, lo)
+        return [
+            (vertices[at], index - sorted_starts[at]) for at in range(lo, hi)
+        ]
+
+    return owners
 
 
 class DynSliceSegment(Codelet):
@@ -50,24 +80,20 @@ class DynSliceSegment(Codelet):
     def compute_all(self, views, params, cost: CostContext) -> np.ndarray:
         return self.bind(params, cost)(views)
 
-    def bind(self, params, cost: CostContext):
+    def bind(self, params, cost: CostContext, tensors=None):
         slot = int(params["slot"][0])
-        starts = params["start"].astype(np.int64)
-        check_cycles = 2.0 * cost.cycles_per_alu_op
+        owners = segment_owners(params["start"])
+        checks = np.full(len(params["start"]), 2.0 * cost.cycles_per_alu_op)
+        access = cost.cycles_per_dynamic_access
 
         def dyn_slice(views) -> np.ndarray:
             data = views["data"]
-            batch, length = data.shape
-            index = int(views["state"][0, slot])
-            local = index - starts
-            owns = (local >= 0) & (local < length)
             out = views["out"]
             out[:, 0] = SENTINEL
-            cycles = np.full(batch, check_cycles)
-            owner_rows = np.flatnonzero(owns)
-            if len(owner_rows):
-                out[owner_rows, 0] = data[owner_rows, local[owner_rows]]
-                cycles[owner_rows] += cost.cycles_per_dynamic_access
+            cycles = checks.copy()
+            for vertex, local in owners(int(views["state"][0, slot]), data.shape[1]):
+                out[vertex, 0] = data[vertex, local]
+                cycles[vertex] += access
             return cycles
 
         return dyn_slice
@@ -92,7 +118,7 @@ class DynStore(Codelet):
     def compute_all(self, views, params, cost: CostContext) -> np.ndarray:
         return self.bind(params, cost)(views)
 
-    def bind(self, params, cost: CostContext):
+    def bind(self, params, cost: CostContext, tensors=None):
         index_slot = int(params["index_slot"][0])
         value_slot = int(params["value_slot"][0])
         if value_slot < 0 and "const_value" not in params:
@@ -100,21 +126,18 @@ class DynStore(Codelet):
                 "DynStore with value_slot=-1 requires a const_value param"
             )
         const_value = int(params["const_value"][0]) if value_slot < 0 else None
-        starts = params["start"].astype(np.int64)
-        check_cycles = 2.0 * cost.cycles_per_alu_op
+        owners = segment_owners(params["start"])
+        checks = np.full(len(params["start"]), 2.0 * cost.cycles_per_alu_op)
+        access = cost.cycles_per_dynamic_access
 
         def dyn_store(views) -> np.ndarray:
             data = views["data"]
-            batch, length = data.shape
             sel = views["sel"][0]
             value = const_value if value_slot < 0 else int(sel[value_slot])
-            local = int(sel[index_slot]) - starts
-            owns = (local >= 0) & (local < length)
-            cycles = np.full(batch, check_cycles)
-            owner_rows = np.flatnonzero(owns)
-            if len(owner_rows):
-                data[owner_rows, local[owner_rows]] = value
-                cycles[owner_rows] += cost.cycles_per_dynamic_access
+            cycles = checks.copy()
+            for vertex, local in owners(int(sel[index_slot]), data.shape[1]):
+                data[vertex, local] = value
+                cycles[vertex] += access
             return cycles
 
         return dyn_store

@@ -21,7 +21,7 @@ import functools
 import numpy as np
 
 from repro.core.compression import segment_bounds
-from repro.core.dynamic_ops import DynStore
+from repro.core.dynamic_ops import DynStore, segment_owners
 from repro.core.mapping_plan import MappingPlan
 from repro.core.state import SolverState
 from repro.ipu.codelets import Codelet, CostContext
@@ -48,6 +48,10 @@ class ZeroStatusScan(Codelet):
     of zeros, not with n.  The per-tile arg-max over the freshly computed
     statuses is fused into the same vertex (``partial`` emits
     ``[status, global_row, zero_col, star_col]``).
+
+    The bound kernel (:class:`_BoundScan`) charges and writes exactly what
+    :meth:`compute_all` does, but re-derives a row only when its inputs
+    changed since the previous superstep.
     """
 
     fields = {
@@ -64,69 +68,153 @@ class ZeroStatusScan(Codelet):
     def compute_all(self, views, params, cost: CostContext) -> np.ndarray:
         return self.bind(params, cost)(views)
 
-    def bind(self, params, cost: CostContext):
-        cols = int(params["cols"][0])
-        threads = int(params["threads"][0])
-        bounds = segment_bounds(cols, threads)
-        row0 = params["row0"].astype(np.int64)
-        full_scan = params.get("full_scan") is not None and params["full_scan"][0]
-        per_zero = cost.cycles_per_dynamic_access + cost.cycles_per_alu_op
+    def bind(self, params, cost: CostContext, tensors=None):
+        return _BoundScan(params, cost, tensors)
 
-        def scan(views) -> np.ndarray:
-            compress = views["compress"]
-            batch = compress.shape[0]
-            rows = compress.shape[1] // cols
-            positions = compress.reshape(batch, rows, cols)
-            counts = views["zero_count"].reshape(batch, rows, threads)
-            covers = views["col_cover"][0]  # identical broadcast row
-            # Touch only each segment's populated front slots — the
-            # compression payoff: work scales with the zero count, not n.
-            occupancy = counts.reshape(-1, threads).max(axis=0).tolist()
-            parts = [
-                positions[..., start : start + occ]
-                for (start, stop), occ in zip(bounds, occupancy)
-                if stop > start and occ > 0
-            ]
-            if parts:
-                pos = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=2)
-                flat = pos.reshape(batch * rows, -1)
-                valid = flat >= 0
-                open_col = np.take(covers, flat, mode="clip") == 0
-                hit = valid & open_col
-                has_zero = hit.any(axis=1)
-                first = hit.argmax(axis=1)
-                found_col = flat[np.arange(flat.shape[0]), first]
-                has_zero = has_zero.reshape(batch, rows)
-                found_col = found_col.reshape(batch, rows)
-                zeros_scanned = valid.sum(axis=1).reshape(batch, rows).sum(axis=1)
+
+class _BoundScan:
+    """:class:`ZeroStatusScan` bound to one plan, with host-side caching.
+
+    The scan list (each row's populated segment-front slots), the zeros it
+    holds and the charged cycles depend only on ``compress`` and
+    ``zero_count``, so they are kept until either tensor's write counter
+    moves.  Each row's first uncovered zero also depends on ``col_cover``,
+    which is compared with the previous call's copy: a prime uncovers one
+    column, and only the rows listing it are looked at.  Row covers and
+    stars are read afresh on every call.  Without ``tensors`` (the
+    stateless :meth:`ZeroStatusScan.compute_all`) every call starts from
+    scratch.
+    """
+
+    def __init__(self, params, cost: CostContext, tensors) -> None:
+        self.cols = int(params["cols"][0])
+        self.threads = int(params["threads"][0])
+        self.bounds = segment_bounds(self.cols, self.threads)
+        self.row0 = params["row0"].astype(np.int64)
+        self.full_scan = (
+            params.get("full_scan") is not None and params["full_scan"][0]
+        )
+        self.cost = cost
+        self.inputs = (
+            None if tensors is None else (tensors["compress"], tensors["zero_count"])
+        )
+        self.key: tuple[int, int] | None = None
+
+    def __call__(self, views) -> np.ndarray:
+        covers = views["col_cover"][0]  # identical broadcast row
+        if self.inputs is None:
+            self._gather(views, covers)
+        else:
+            compress, zero_count = self.inputs
+            key = (compress.writes, zero_count.writes)
+            if key != self.key:
+                self._gather(views, covers)
+                self.key = key
             else:
-                has_zero = np.zeros((batch, rows), dtype=bool)
-                found_col = np.full((batch, rows), -1, dtype=np.int64)
-                zeros_scanned = np.zeros(batch, dtype=np.int64)
-            has_zero = has_zero & (views["row_cover"] == 0)
-            found_col = np.where(has_zero, found_col, -1)
-            starred = views["row_star"] >= 0
-            status = np.where(has_zero, np.where(starred, 0, 1), -1)
-            views["zero_status"][...] = status
-            views["zero_col"][...] = found_col
-            # Fused per-tile arg-max (max status, lowest local row on ties).
+                self._refresh(covers)
+        found = self.columns[self.first].reshape(views["row_cover"].shape)
+        found_col = np.where(views["row_cover"] == 0, found, -1)
+        status = np.where(found_col >= 0, views["row_star"] < 0, -1)
+        views["zero_status"][...] = status
+        views["zero_col"][...] = found_col
+        # Fused per-tile arg-max (max status, lowest local row on ties).
+        partial = views["partial"]
+        if status.shape[1] == 1:  # one row per tile: the row is the winner
+            partial[:, 0] = status[:, 0]
+            partial[:, 1] = self.row0
+            partial[:, 2] = found_col[:, 0]
+            partial[:, 3] = views["row_star"][:, 0]
+        else:
             best = status.argmax(axis=1)
-            take = np.arange(batch)
-            partial = views["partial"]
+            take = np.arange(len(best))
             partial[:, 0] = status[take, best]
-            partial[:, 1] = row0 + best
+            partial[:, 1] = self.row0 + best
             partial[:, 2] = found_col[take, best]
             partial[:, 3] = views["row_star"][take, best]
-            status_cycles, row_scan_cycles = _row_cycles(cost, rows)
-            if full_scan:
-                # Compression ablation: charge what scanning the raw slack
-                # rows would cost (the computation itself is unchanged).
-                work = rows * np.asarray(cost.scan_cycles(cols)) * np.ones(batch)
-            else:
-                work = zeros_scanned * per_zero + status_cycles
-            return np.ceil(work / cost.threads_per_tile) + row_scan_cycles
+        return self.cycles
 
-        return scan
+    def _gather(self, views, covers) -> None:
+        """Rebuild the scan list, the charge and every row's first open zero."""
+        cols, threads, cost = self.cols, self.threads, self.cost
+        compress = views["compress"]
+        batch = compress.shape[0]
+        rows = compress.shape[1] // cols
+        positions = compress.reshape(batch, rows, cols)
+        counts = views["zero_count"].reshape(batch, rows, threads)
+        # Touch only each segment's populated front slots — the
+        # compression payoff: work scales with the zero count, not n.
+        occupancy = counts.reshape(-1, threads).max(axis=0).tolist()
+        parts = [
+            positions[..., start : start + occ]
+            for (start, stop), occ in zip(self.bounds, occupancy)
+            if stop > start and occ > 0
+        ]
+        flat = np.concatenate(parts, axis=2) if parts else positions[..., :0]
+        flat = flat.reshape(batch * rows, -1)
+        valid = flat >= 0
+        status_cycles, row_scan_cycles = _row_cycles(cost, rows)
+        if self.full_scan:
+            # Compression ablation: charge what scanning the raw slack
+            # rows would cost (the computation itself is unchanged).
+            work = rows * np.asarray(cost.scan_cycles(cols)) * np.ones(batch)
+        else:
+            zeros_scanned = valid.reshape(batch, -1).sum(axis=1)
+            per_zero = cost.cycles_per_dynamic_access + cost.cycles_per_alu_op
+            work = zeros_scanned * per_zero + status_cycles
+        self.cycles = np.ceil(work / cost.threads_per_tile) + row_scan_cycles
+        # Column codes per row: a listed column, ``width`` for an empty slot
+        # (always covered), then a closing ``width + 1`` (always open), so
+        # every row has an open entry.  ``first`` holds the flat index of
+        # each row's first open entry (flat order within a row is slot
+        # order); ``columns`` reads it as a column, or -1 for the closer.
+        width = len(covers)
+        codes = np.full((len(flat), flat.shape[1] + 1), width + 1)
+        codes[:, :-1] = np.where(valid, flat, width)
+        self.codes = codes.reshape(-1)
+        self.columns = np.where(self.codes < width, self.codes, -1)
+        self.row_length = codes.shape[1]
+        self.open = np.empty(width + 2, dtype=covers.dtype)
+        self.open[:width] = covers
+        self.open[width:] = (1, 0)
+        self.base = np.arange(0, len(self.codes), self.row_length)
+        self.first = self._first_open()
+        self.holders: tuple[np.ndarray, np.ndarray, list[int]] | None = None
+
+    def _refresh(self, covers) -> None:
+        """Apply the columns whose cover changed since the previous call."""
+        width = len(covers)
+        changed = np.flatnonzero(self.open[:width] != covers)
+        if not changed.size:
+            return
+        self.open[:width] = covers
+        changed = changed.tolist()
+        if len(changed) * 8 > width or any(self.open.item(c) for c in changed):
+            # A column was covered (or many changed): one full pass.
+            self.first = self._first_open()
+            return
+        # Only uncovered columns: a row listing one may now find it first.
+        rows, entries, starts = self._holders()
+        for col in changed:
+            lo, hi = starts[col], starts[col + 1]
+            np.minimum.at(self.first, rows[lo:hi], entries[lo:hi])
+
+    def _holders(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """Entries by column: rows and flat indices ``[starts[c]:starts[c+1]]``."""
+        if self.holders is None:
+            width = len(self.open) - 2
+            entries = np.flatnonzero(self.codes < width)
+            listed = self.codes[entries]
+            order = np.argsort(listed, kind="stable")
+            entries = entries[order]
+            counts = np.bincount(listed, minlength=width)
+            starts = [0, *np.cumsum(counts).tolist()]
+            self.holders = (entries // self.row_length, entries, starts)
+        return self.holders
+
+    def _first_open(self) -> np.ndarray:
+        """Flat index of each row's first entry in an uncovered column."""
+        is_open = self.open[self.codes].reshape(-1, self.row_length) == 0
+        return is_open.argmax(axis=1) + self.base
 
 
 # Charges that depend only on a plan's shape, priced once per shape.
@@ -147,6 +235,19 @@ def _combine_cycles(cost: CostContext, tiles: int) -> float:
     return float(np.asarray(cost.scan_cycles(tiles * 4)))
 
 
+def _winner(partials: np.ndarray) -> np.ndarray:
+    """The ``[status, row, ...]`` 4-tuple with max status, lowest row on ties.
+
+    ``partials`` is one vertex's flat row of 4-tuples.  Rows are distinct,
+    so the order is total; the common case, a single top status, costs no
+    row comparison at all.
+    """
+    status = partials[0::4]
+    ties = np.flatnonzero(status == status.max())
+    at = ties[0] if len(ties) == 1 else ties[partials[1::4][ties].argmin()]
+    return partials[4 * at : 4 * at + 4]
+
+
 class StatusArgmaxPartial(Codelet):
     """Per-chip combine of the tile winners (max status, lowest row on ties).
 
@@ -163,15 +264,9 @@ class StatusArgmaxPartial(Codelet):
 
     def compute_all(self, views, params, cost: CostContext) -> np.ndarray:
         flat = views["partials"]
-        batch = flat.shape[0]
-        tiles = flat.shape[1] // 4
-        partials = flat.reshape(batch, tiles, 4)
-        size_bound = np.int64(partials[..., 1].max() + 2)
-        score = partials[..., 0].astype(np.int64) * (2 * size_bound) - partials[..., 1]
-        best = score.argmax(axis=1)
-        take = np.arange(batch)
-        views["winner"][...] = partials[take, best]
-        return np.full(batch, _combine_cycles(cost, tiles))
+        for vertex, partials in enumerate(flat):
+            views["winner"][vertex] = _winner(partials)
+        return np.full(flat.shape[0], _combine_cycles(cost, flat.shape[1] // 4))
 
 
 class StatusArgmaxFinal(Codelet):
@@ -192,22 +287,27 @@ class StatusArgmaxFinal(Codelet):
     }
 
     def compute_all(self, views, params, cost: CostContext) -> np.ndarray:
-        flat = views["partials"]
-        batch = flat.shape[0]
-        tiles = flat.shape[1] // 4
-        partials = flat.reshape(batch, tiles, 4)
-        # Lexicographic argmax: status descending, then row ascending.
-        size_bound = np.int64(partials[..., 1].max() + 2)
-        score = partials[..., 0].astype(np.int64) * (2 * size_bound) - partials[..., 1]
-        best = score.argmax(axis=1)
-        take = np.arange(batch)
-        views["sel"][...] = partials[take, best]
-        status = partials[take, best, 0]
-        views["max_status"][:, 0] = status
-        views["flag_update"][:, 0] = status == -1
-        views["flag_aug"][:, 0] = status == 1
-        views["prime_count"][:, 0] += status == 0
-        return np.full(batch, _combine_cycles(cost, tiles))
+        return self.bind(params, cost)(views)
+
+    def bind(self, params, cost: CostContext, tensors=None):
+        cycles = np.empty(0)  # one shape per plan: priced on the first call
+
+        def final(views) -> np.ndarray:
+            nonlocal cycles
+            flat = views["partials"]
+            for vertex, partials in enumerate(flat):
+                winner = _winner(partials)
+                views["sel"][vertex] = winner
+                status = int(winner[0])
+                views["max_status"][vertex, 0] = status
+                views["flag_update"][vertex, 0] = status == -1
+                views["flag_aug"][vertex, 0] = status == 1
+                views["prime_count"][vertex, 0] += status == 0
+            if len(cycles) != len(flat):
+                cycles = np.full(len(flat), _combine_cycles(cost, flat.shape[1] // 4))
+            return cycles
+
+        return final
 
 
 class PrimeRowUpdate(Codelet):
@@ -218,23 +318,19 @@ class PrimeRowUpdate(Codelet):
     def compute_all(self, views, params, cost: CostContext) -> np.ndarray:
         return self.bind(params, cost)(views)
 
-    def bind(self, params, cost: CostContext):
-        starts = params["start"].astype(np.int64)
-        check_cycles = 2.0 * cost.cycles_per_alu_op
+    def bind(self, params, cost: CostContext, tensors=None):
+        owners = segment_owners(params["start"])
+        checks = np.full(len(params["start"]), 2.0 * cost.cycles_per_alu_op)
         owner_cycles = 2 * cost.cycles_per_dynamic_access
 
         def prime_rows(views) -> np.ndarray:
             sel = views["sel"][0]
             row, col = int(sel[1]), int(sel[2])
-            length = views["row_prime"].shape[1]
-            local = row - starts
-            owns = (local >= 0) & (local < length)
-            cycles = np.full(len(starts), check_cycles)
-            owners = np.flatnonzero(owns)
-            if len(owners):
-                views["row_prime"][owners, local[owners]] = col
-                views["row_cover"][owners, local[owners]] = 1
-                cycles[owners] += owner_cycles
+            cycles = checks.copy()
+            for vertex, local in owners(row, views["row_prime"].shape[1]):
+                views["row_prime"][vertex, local] = col
+                views["row_cover"][vertex, local] = 1
+                cycles[vertex] += owner_cycles
             return cycles
 
         return prime_rows

@@ -37,6 +37,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from repro.errors import GraphConstructionError
+from repro.ipu.tensor import Tensor
 
 __all__ = ["CostContext", "Codelet", "FIELD_DIRECTIONS"]
 
@@ -89,9 +90,12 @@ class Codelet(abc.ABC):
     """Base class for compute kernels.
 
     Subclasses define :attr:`fields` (mapping field name to direction) and
-    implement :meth:`compute_all`.  Codelets are stateless; all run-time
-    information arrives through views and parameter arrays, so one codelet
-    instance can serve every vertex in a graph.
+    implement :meth:`compute_all`.  Charged cycles and device-visible
+    outputs are a pure function of the views and parameter arrays, so one
+    codelet instance can serve every vertex in a graph and
+    :meth:`compute_all` is always the stateless reference.  A kernel from
+    :meth:`bind` may keep host-side data derived from its inputs, keyed on
+    their tensors' write counters, to do less host work per superstep.
     """
 
     #: Field name -> "in" | "out" | "inout".
@@ -126,7 +130,10 @@ class Codelet(abc.ABC):
         return type(self).__name__
 
     def bind(
-        self, params: Mapping[str, np.ndarray], cost: CostContext
+        self,
+        params: Mapping[str, np.ndarray],
+        cost: CostContext,
+        tensors: Mapping[str, Tensor] | None = None,
     ) -> Callable[[Mapping[str, np.ndarray]], np.ndarray]:
         """:meth:`compute_all` with ``params`` and ``cost`` fixed.
 
@@ -136,6 +143,11 @@ class Codelet(abc.ABC):
         values from its params overrides this to derive them once, and
         implements :meth:`compute_all` as ``self.bind(params, cost)(views)``
         so both entry points run the same code.
+
+        The engine also passes ``tensors``, the tensor behind each field.
+        A bound kernel may keep host-side data derived from an input for as
+        long as that tensor's :attr:`~repro.ipu.tensor.Tensor.writes`
+        counter is unchanged; without ``tensors`` it must keep none.
         """
         return lambda views: self.compute_all(views, params, cost)
 

@@ -18,7 +18,10 @@ emits one :class:`~repro.ipu.profiler.SuperstepCharge` to the run's
 subscribers: the profiler always, the per-tile accumulator, tracer and
 metrics registry only when enabled.  Every run profiles per compute set
 (:class:`~repro.ipu.profiler.StepRecord`); ``profile_tiles=True`` adds
-per-tile attribution.
+per-tile attribution.  Each step also bumps the content write counter
+(:attr:`~repro.ipu.tensor.Tensor.writes`) of every tensor it writes, and a
+run's start bumps all of them, so bound kernels can key host-side caches on
+those counters (:meth:`~repro.ipu.codelets.Codelet.bind`).
 
 Two execution modes exist:
 
@@ -160,6 +163,9 @@ class Engine:
         else:
             self._profiler = self._owned_profiler
         self._profiler.reset()
+        # Host writes happen between runs: no derived data survives one.
+        for tensor in self.compiled.graph.tensors:
+            tensor.writes += 1
         logger.debug(
             "engine run start: mode=%s, tracing=%s", self.mode, run.tracer.enabled
         )
@@ -303,6 +309,7 @@ class Engine:
 
         def copy_step() -> None:
             destination.flat()[:] = source.flat()
+            destination.writes += 1
             for sink in run.sinks:
                 sink(charge)
 
@@ -326,10 +333,15 @@ class Engine:
         tile_ids, by_tensor, ipus = plan.tile_ids, plan.exchange_by_tensor, plan.ipus
         slowest_slot = plan.tile_compute_cycles
         tile_totals = plan.tile_cycle_totals
+        written = plan.written
         run = self._run
 
         def execute() -> None:
             cycles = run_vertices() + overhead
+            # After the compute phase, so a kernel never keys data derived
+            # from a tensor on a count that predates its own write.
+            for tensor in written:
+                tensor.writes += 1
             compute_cycles = slowest_slot(cycles, spec)
             charge = SuperstepCharge(
                 name,
@@ -357,7 +369,11 @@ class Engine:
         """One ``compute_all`` over every vertex of a uniform compute set."""
         codelet = plan.codelet
         name = plan.compute_set.name
-        kernel = codelet.bind(plan.param_arrays, self.compiled.cost_context)
+        kernel = codelet.bind(
+            plan.param_arrays,
+            self.compiled.cost_context,
+            {field: field_plan.tensor for field, field_plan in plan.field_plans.items()},
+        )
         shape = (len(plan.compute_set.vertices),)
         batch_views = plan.batch_views
         field_plans = tuple(plan.field_plans.items())
@@ -394,6 +410,7 @@ class Engine:
                         for key, value in vertex.params.items()
                     },
                     cost,
+                    {field: c.tensor for field, c in vertex.connections.items()},
                 ),
                 tuple(
                     (field, c.tensor, c.start, c.stop)

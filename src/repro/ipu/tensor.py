@@ -43,18 +43,28 @@ class Tensor:
     dtype: np.dtype
     mapping: TileMapping | None = None
     graph_id: int = -1
-    data: np.ndarray = dataclasses.field(init=False, repr=False)
-    #: Buffer generation: bumped every time ``data`` is **rebound** to a new
-    #: array object (in-place writes through views don't count).  Execution
-    #: plans key their cached zero-copy views on this, so a rebind — e.g. a
-    #: serving layer swapping in a staging buffer — invalidates stale views
-    #: instead of silently reading the orphaned old buffer.
+    #: Buffer generation: bumped every time :attr:`data` is **rebound** to a
+    #: new array object (in-place writes through views don't count).
+    #: Execution plans key their cached zero-copy views on this, so a rebind
+    #: — e.g. a serving layer swapping in a staging buffer — invalidates
+    #: stale views instead of silently reading the orphaned old buffer.
     version: int = dataclasses.field(default=0, init=False, repr=False)
+    #: Content write counter: the engine bumps it after every superstep or
+    #: :class:`~repro.ipu.programs.Copy` that writes the tensor, and at the
+    #: start of every run (host writes happen between runs).  A bound
+    #: kernel may keep host-side data derived from the tensor's contents
+    #: for as long as this value is unchanged.
+    writes: int = dataclasses.field(default=0, init=False, repr=False)
 
-    def __setattr__(self, attr: str, value) -> None:
-        if attr == "data" and "data" in self.__dict__:
-            object.__setattr__(self, "version", self.version + 1)
-        object.__setattr__(self, attr, value)
+    @property
+    def data(self) -> np.ndarray:
+        """The element buffer; assigning a new array bumps :attr:`version`."""
+        return self._data
+
+    @data.setter
+    def data(self, value: np.ndarray) -> None:
+        self._data = value
+        self.version += 1
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -69,7 +79,7 @@ class Tensor:
                 f"tensor {self.name!r} has unsupported dtype {dtype}"
             )
         self.dtype = dtype
-        self.data = np.zeros(self.shape, dtype=dtype)
+        self._data = np.zeros(self.shape, dtype=dtype)
 
     # ------------------------------------------------------------------
     # Geometry

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.dynamic_ops import SENTINEL, DynSliceSegment, DynStore
+from repro.core.dynamic_ops import SENTINEL, DynSliceSegment, DynStore, segment_owners
 from repro.errors import GraphConstructionError
 from repro.ipu.codelets import CostContext
 
@@ -145,3 +145,21 @@ class TestDynStore:
             COST,
         )
         assert data.sum() == 0
+
+
+class TestSegmentOwners:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        starts=st.lists(st.integers(-5, 40), min_size=1, max_size=12),
+        length=st.integers(1, 8),
+        index=st.integers(-10, 50),
+    )
+    def test_matches_the_parallel_range_check(self, starts, length, index):
+        """Unsorted, duplicate or overlapping segments: same owners."""
+        starts = np.array(starts, dtype=np.float64)
+        local = index - starts.astype(np.int64)
+        expected = [
+            (int(vertex), int(local[vertex]))
+            for vertex in np.flatnonzero((local >= 0) & (local < length))
+        ]
+        assert sorted(segment_owners(starts)(index, length)) == expected

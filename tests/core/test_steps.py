@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.compression import build_compress, compress_rows_host
 from repro.core.mapping_plan import MappingPlan
@@ -14,9 +16,11 @@ from repro.core.steps import (
     build_step3,
     build_step4,
 )
+from repro.core.steps.step4_prime_search import StatusArgmaxFinal, StatusArgmaxPartial
+from repro.ipu.codelets import CostContext
 from repro.ipu.engine import Engine
 from repro.ipu.graph import ComputeGraph
-from repro.ipu.programs import Sequence
+from repro.ipu.programs import Copy, Repeat, Sequence
 from repro.ipu.spec import IPUSpec
 
 
@@ -258,6 +262,101 @@ class TestStep4:
             col_cover=np.zeros(n, dtype=np.int32),
         )
         assert state.max_status.read_host()[0] == -1
+
+    # The bound scan keeps its scan list while compress/zero_count's write
+    # counters stand still; every way those tensors change must move them.
+
+    def _two_layouts(self, n, spec):
+        """Compress layouts with one zero at (0, 0), and at (2, 1)."""
+        layouts = []
+        for row, col in ((0, 0), (2, 1)):
+            slack = np.ones((n, n))
+            slack[row, col] = 0.0
+            layouts.append(compress_rows_host(slack, spec.threads_per_tile, 1e-11))
+        return layouts
+
+    def _open_state(self, state, n):
+        state.row_star.write_host(np.full(n, -1, dtype=np.int32))
+        state.row_cover.write_host(np.zeros(n, dtype=np.int32))
+        state.col_cover.write_host(np.zeros(state.col_cover.size, dtype=np.int32))
+
+    def test_cached_scan_sees_host_writes_between_runs(self):
+        n = 4
+        spec, plan, graph, state = _fresh(n)
+        engine = Engine(graph, build_step4(graph, state, plan))
+        self._open_state(state, n)
+        for (compress, counts), want in zip(
+            self._two_layouts(n, spec), ([1, 0, 0, -1], [1, 2, 1, -1])
+        ):
+            state.compress.write_host(compress)
+            state.zero_count.write_host(counts)
+            engine.run()
+            assert list(state.sel.read_host()) == want
+
+    def test_cached_scan_sees_a_copy_into_compress(self):
+        n = 4
+        spec, plan, graph, state = _fresh(n)
+        step4 = build_step4(graph, state, plan)
+        spare = [
+            graph.add_tensor(
+                f"spare/{tensor.name}",
+                tensor.shape,
+                tensor.dtype,
+                mapping=tensor.require_mapping(),
+            )
+            for tensor in (state.compress, state.zero_count)
+        ]
+        # The same bound scan runs twice; the copies between its runs swap
+        # in the second layout.
+        program = Repeat(
+            2,
+            Sequence(
+                step4,
+                Copy(spare[0], state.compress),
+                Copy(spare[1], state.zero_count),
+            ),
+        )
+        (first, first_counts), (second, second_counts) = self._two_layouts(n, spec)
+        state.compress.write_host(first)
+        state.zero_count.write_host(first_counts)
+        spare[0].write_host(second)
+        spare[1].write_host(second_counts)
+        self._open_state(state, n)
+        _run(graph, program)
+        assert list(state.sel.read_host()) == [1, 2, 1, -1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        statuses=st.lists(st.integers(-1, 1), min_size=1, max_size=9),
+        seed=st.integers(0, 1000),
+    )
+    def test_argmax_picks_max_status_then_lowest_row(self, statuses, seed):
+        """Any tile order: max status wins, the lowest row breaks ties."""
+        tiles = len(statuses)
+        rows = np.random.default_rng(seed).permutation(4 * tiles)[:tiles]
+        partials = np.array(
+            [[s, r, 10 + r, 20 + r] for s, r in zip(statuses, rows)], dtype=np.int32
+        )
+        views = {
+            "partials": partials.reshape(1, -1),
+            "sel": np.zeros((1, 4), dtype=np.int32),
+            "max_status": np.zeros((1, 1), dtype=np.int32),
+            "flag_update": np.zeros((1, 1), dtype=np.int32),
+            "flag_aug": np.zeros((1, 1), dtype=np.int32),
+            "prime_count": np.zeros((1, 1), dtype=np.int32),
+        }
+        StatusArgmaxFinal().compute_all(views, {}, CostContext())
+        top = max(statuses)
+        row = min(r for s, r in zip(statuses, rows) if s == top)
+        assert list(views["sel"][0]) == [top, row, 10 + row, 20 + row]
+        assert views["flag_update"][0, 0] == (top == -1)
+        assert views["flag_aug"][0, 0] == (top == 1)
+        assert views["prime_count"][0, 0] == (top == 0)
+        winner = np.zeros((1, 4), dtype=np.int32)
+        StatusArgmaxPartial().compute_all(
+            {"partials": views["partials"], "winner": winner}, {}, CostContext()
+        )
+        assert list(winner[0]) == list(views["sel"][0])
 
     def test_prime_update_applies_selection(self):
         n = 4

@@ -215,6 +215,23 @@ class TestLifetime:
             gc.enable()
 
 
+class TestWriteCounters:
+    def test_bumped_by_writers_copies_and_every_run_start(self, toy_spec):
+        graph, counter, flag, inc, check = _counter_graph(toy_spec)
+        mirror = graph.add_scalar("mirror")
+        idle = graph.add_scalar("idle")
+        engine = Engine(
+            graph, Sequence(Execute(inc), Execute(check), Copy(counter, mirror))
+        )
+        tensors = (counter, flag, mirror, idle)
+        before = [tensor.writes for tensor in tensors]
+        engine.run()
+        after = [tensor.writes for tensor in tensors]
+        # Run start bumps all four; inc writes counter, check writes flag
+        # (and only reads counter), the copy writes mirror.
+        assert [b - a for a, b in zip(before, after)] == [2, 2, 2, 1]
+
+
 class TestCostAccounting:
     def test_superstep_charges_all_three_phases(self, toy_spec):
         graph = ComputeGraph(toy_spec)
