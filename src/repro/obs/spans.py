@@ -154,11 +154,12 @@ class NullSpanTracer:
         correlation_id: str | None = None,
         parent: Span | None = None,
         root: bool = False,
+        at: float | None = None,
         **attributes: Any,
     ):
         return _NULL_SPAN
 
-    def end(self, span, status: str | None = None) -> None:
+    def end(self, span, status: str | None = None, *, at: float | None = None) -> None:
         pass
 
     def span(
@@ -210,13 +211,17 @@ class SpanCollector(NullSpanTracer):
         correlation_id: str | None = None,
         parent: Span | None = None,
         root: bool = False,
+        at: float | None = None,
         **attributes: Any,
     ) -> Span:
         """Open a span.  Parent/correlation default to the ambient span.
 
         ``root=True`` forces a detached span even when an ambient span is
         active (the serving layer's per-request roots must never attach to
-        whatever the submitting thread happens to be tracing).
+        whatever the submitting thread happens to be tracing).  ``at``
+        opens it at an instant already read from the collector's clock
+        instead of now, so a span can start exactly where another began
+        or ended.
         """
         if parent is None and not root:
             active = _ACTIVE.get()
@@ -237,15 +242,22 @@ class SpanCollector(NullSpanTracer):
             span_id=span_id,
             correlation_id=correlation_id,
             parent_id=None if parent is None else parent.span_id,
-            start_s=self._clock(),
+            start_s=self._clock() if at is None else at,
             attributes=dict(attributes),
         )
 
-    def end(self, span: Span, status: str | None = None) -> None:
-        """Close ``span`` and record it; idempotent."""
+    def end(
+        self, span: Span, status: str | None = None, *, at: float | None = None
+    ) -> None:
+        """Close ``span`` and record it; idempotent.
+
+        ``at`` closes it at an instant already read from the collector's
+        clock instead of now (a parent ending exactly where its last child
+        did).
+        """
         if span is _NULL_SPAN or span.end_s is not None:
             return
-        span.end_s = self._clock()
+        span.end_s = self._clock() if at is None else at
         if status is not None:
             span.status = status
         with self._lock:

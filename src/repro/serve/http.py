@@ -58,13 +58,12 @@ import numpy as np
 
 from repro.obs.export import (
     SOLVE_REQUEST_SCHEMA,
-    SOLVE_RESPONSE_SCHEMA,
     SchemaError,
     to_jsonable,
     validate_solve_request,
 )
 from repro.serve.request import QUALITY_TIERS
-from repro.serve.workers import wire_response
+from repro.serve.workers import reject_document, wire_response
 
 __all__ = [
     "HttpClient",
@@ -233,29 +232,16 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_reject(self, code: str, detail: str) -> None:
         front = self.frontend
-        correlation_id = front._next_http_correlation()
         front.metrics_inc(f"http.rejected.{code}")
         self._send_json(
             STATUS_OF_REJECT.get(code, 500),
-            {
-                "schema": SOLVE_RESPONSE_SCHEMA,
-                "request_id": -1,
-                "correlation_id": correlation_id,
-                "status": "rejected",
-                "tier": None,
-                "backend": None,
-                "degraded": False,
-                "fallback_reason": None,
-                "retries": 0,
-                "queue_wait_s": 0.0,
-                "service_s": 0.0,
-                "latency_s": 0.0,
-                "deadline_missed": False,
-                "gap_bound": None,
-                "assignment": None,
-                "total_cost": None,
-                "reject": {"code": code, "detail": detail},
-            },
+            reject_document(
+                request_id=-1,
+                correlation_id=front._next_http_correlation(),
+                tier=None,
+                code=code,
+                detail=detail,
+            ),
         )
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib API

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.lap.problem import LAPInstance
-from repro.serve.request import SolveResponse
+from repro.serve.request import SolveResponse, verify_answer
 from repro.serve.service import SolverService
 from repro.serve.stats import latency_summary
 
@@ -52,9 +52,6 @@ DEFAULT_TIER_WEIGHTS = {"auto": 0.6, "ipu": 0.25, "fast": 0.15}
 #: Default deadline mix: fraction with no deadline / a loose one / a tight
 #: one (seconds).  Tight deadlines exercise the preemptive degradation path.
 DEFAULT_DEADLINES = ((None, 0.5), (2.0, 0.3), (0.02, 0.2))
-
-_VERIFY_ABS = 1e-6
-_VERIFY_REL = 1e-9
 
 
 @dataclasses.dataclass(frozen=True)
@@ -180,34 +177,6 @@ class LoadReport:
             "latency_seconds": self.latency,
             "approx": dict(self.approx),
         }
-
-
-def _verify_response(item: WorkItem, response: SolveResponse) -> bool:
-    """Independently check a completed response against the scipy optimum.
-
-    Exact backends must match the optimum; approximate responses
-    (``gap_bound`` set) must achieve a cost within their own certified
-    bound — and never beat the optimum, which would mean the "assignment"
-    is not actually a permutation-cost.
-    """
-    from scipy.optimize import linear_sum_assignment
-
-    assert response.result is not None
-    rows, cols = linear_sum_assignment(item.instance.costs)
-    optimum = float(item.instance.costs[rows, cols].sum())
-    tolerance = _VERIFY_ABS + _VERIFY_REL * abs(optimum)
-    excess = response.result.total_cost - optimum
-    if response.gap_bound is None:
-        if abs(excess) > tolerance:
-            return False
-    elif not (-tolerance <= excess <= response.gap_bound + tolerance):
-        return False
-    # The assignment itself must be a permutation achieving the claimed cost.
-    assignment = np.asarray(response.result.assignment)
-    if sorted(assignment.tolist()) != list(range(item.instance.size)):
-        return False
-    achieved = item.instance.total_cost(assignment)
-    return abs(achieved - response.result.total_cost) <= tolerance
 
 
 def arrival_schedule(count: int, rate: float) -> list[float]:
@@ -390,7 +359,12 @@ def run_load(
                 deadline_missed += 1
             if response.gap_bound is not None:
                 gap_bounds.append(response.gap_bound)
-            if verify and not _verify_response(item, response):
+            if verify and not verify_answer(
+                item.instance,
+                response.result.assignment,
+                response.result.total_cost,
+                gap_bound=response.gap_bound,
+            ):
                 verify_failures += 1
         else:
             assert response.reject is not None
@@ -443,8 +417,6 @@ def run_http_load(
     rate, shed (typed-429) fraction, client-observed p50/p99, and the
     per-tier certified-gap summary.
     """
-    from scipy.optimize import linear_sum_assignment
-
     from repro.serve.http import HttpClient
 
     schedule = arrival_schedule(len(workload), rate)
@@ -507,14 +479,13 @@ def run_http_load(
                 gap_by_tier.setdefault(document.get("tier", "?"), []).append(
                     float(gap)
                 )
-            if verify:
-                rows, cols = linear_sum_assignment(item.instance.costs)
-                optimum = float(item.instance.costs[rows, cols].sum())
-                tolerance = _VERIFY_ABS + _VERIFY_REL * abs(optimum)
-                excess = float(document["total_cost"]) - optimum
-                bound = tolerance if gap is None else float(gap) + tolerance
-                if not (-tolerance <= excess <= bound):
-                    verify_failures += 1
+            if verify and not verify_answer(
+                item.instance,
+                document["assignment"],
+                float(document["total_cost"]),
+                gap_bound=gap,
+            ):
+                verify_failures += 1
         else:
             code = document.get("reject", {}).get("code", "unknown")
             rejected[code] = rejected.get(code, 0) + 1

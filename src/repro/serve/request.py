@@ -22,6 +22,8 @@ import threading
 from time import monotonic
 from typing import Any
 
+import numpy as np
+
 from repro.errors import InvalidProblemError
 from repro.lap.problem import LAPInstance
 from repro.lap.result import AssignmentResult
@@ -34,7 +36,13 @@ __all__ = [
     "SolveRequest",
     "SolveResponse",
     "Ticket",
+    "verify_answer",
 ]
+
+#: Answer tolerance against the scipy optimum, absolute plus relative (the
+#: scale of the library's differential tests).
+_VERIFY_ABS = 1e-6
+_VERIFY_REL = 1e-9
 
 #: Quality/latency tiers a request can declare:
 #:
@@ -179,10 +187,12 @@ class RequestSpans:
     """Span handles of one request's journey through the service.
 
     The service opens ``root`` (name ``request``) at submission, ``queue``
-    right after a successful enqueue, and ``execute`` when a worker picks
-    the ticket up; each is ended exactly once on whichever terminal path
-    the request takes (complete, reject, degrade).  ``None`` slots mean the
-    request never reached that stage (e.g. admission rejects have no
+    on a successful enqueue (backdated to the root's start), and
+    ``execute`` when a worker picks the ticket up (at the instant ``queue``
+    closes); each is ended exactly once on whichever terminal path the
+    request takes (complete, reject, degrade), the root at the instant its
+    last child closes, so the children tile the root.  ``None`` slots mean
+    the request never reached that stage (e.g. admission rejects have no
     ``execute`` span).
     """
 
@@ -272,3 +282,32 @@ def extra_of(response: SolveResponse) -> dict[str, Any]:
         "gap_bound": response.gap_bound,
         "reject": None if response.reject is None else response.reject.code,
     }
+
+
+def verify_answer(
+    instance: LAPInstance,
+    assignment,
+    total_cost: float,
+    *,
+    gap_bound: float | None = None,
+) -> bool:
+    """Check one served answer against the scipy optimum.
+
+    The assignment must be a permutation that achieves ``total_cost``.
+    Exact answers (``gap_bound is None``) must match the optimum to within
+    float tolerance.  Approximate answers must not *beat* the optimum and
+    must stay within their own certified gap bound; failing here means the
+    certificate lied, which the property suite treats as a hard bug.
+    """
+    from scipy.optimize import linear_sum_assignment
+
+    assignment = np.asarray(assignment)
+    if not np.array_equal(np.sort(assignment), np.arange(instance.size)):
+        return False
+    rows, cols = linear_sum_assignment(instance.costs)
+    optimum = float(instance.costs[rows, cols].sum())
+    tolerance = _VERIFY_ABS + _VERIFY_REL * abs(optimum)
+    bound = tolerance if gap_bound is None else gap_bound + tolerance
+    if not -tolerance <= total_cost - optimum <= bound:
+        return False
+    return abs(instance.total_cost(assignment) - total_cost) <= tolerance

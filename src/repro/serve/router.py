@@ -21,9 +21,11 @@ Two mechanisms move a request *down* its ladder, and both flag the response
   the engine's estimated latency, the router starts the request further down
   the ladder (``fallback_reason="deadline"``).
 * **Fault fallback** — when an engine run raises
-  :class:`~repro.errors.ExecutionError`, the worker retries once after an
-  exponential backoff, then descends the ladder
-  (``fallback_reason="engine_error"``).
+  :class:`~repro.errors.ExecutionError`, the ladder's engine leg retries
+  ``max_retries`` times after an exponential backoff, then descends the
+  ladder (``fallback_reason="engine_error"``).  Batched or not, each
+  request walks its own ladder, so a retry is counted once, for the
+  request that faulted.
 
 The exact backends (``hunipu``, ``fastha``, ``scipy``) always return the
 true optimum; "degraded" means the request was not served by the backend
@@ -38,6 +40,9 @@ matches the scipy optimum exactly or stays within its reported bound.
 The router also picks the engine **target shape**: a request may ride a
 warm engine of a slightly larger size (the batch engine's padding policy,
 :func:`repro.batch.solver.choose_target`) instead of compiling its own.
+The service leases its engine at that shape, solves there
+(:func:`repro.batch.solver.solve_at_size`) and feeds the engine's latency
+estimate back under it, the key :meth:`Router.plan` reads.
 """
 
 from __future__ import annotations

@@ -11,15 +11,19 @@ endpoint:
   requests are rejected the same way; *every* submitted request terminates
   as completed-or-typed-rejected — none are lost.
 * **Micro-batching**: a worker that dequeues an engine-bound request
-  coalesces queued same-shape engine-bound requests (up to ``max_batch``,
-  optionally lingering ``batch_window_s`` for more to arrive) and runs the
-  whole group through :class:`repro.batch.BatchSolver` on one warm engine
-  lease, so the group shares one compiled graph.
-* **Routing and graceful degradation** (:mod:`repro.serve.router`): engine
-  faults retry once with exponential backoff and then descend the
-  tier's backend ladder; deadline-pressed requests skip ladder legs
-  preemptively.  Fallbacks are flagged ``degraded`` with a reason, and the
-  degradation counters in the stats export account for every one.
+  coalesces the queued requests the router sends to the same engine shape
+  (up to ``max_batch``), leases one warm engine of that shape, and walks
+  each member down its backend ladder on that lease, so the group shares
+  one compiled graph.  A session-bound request is a batch of one at its
+  own size.
+* **Routing and graceful degradation** (:mod:`repro.serve.router`): every
+  request, batched or not, runs through one ladder walk.  Its engine leg
+  solves at the router's ``engine_target``, retries engine faults with
+  exponential backoff (each retry counted once, in the ledger and in the
+  response) and then descends the tier's backend ladder;
+  deadline-pressed requests skip ladder legs preemptively.  Fallbacks are
+  flagged ``degraded`` with a reason, and the degradation counters in the
+  stats export account for every one.
 * **Observability**: per-request latency histograms, queue-depth gauge and
   admission/reject/fallback counters in a
   :class:`~repro.obs.metrics.MetricsRegistry`, plus the schema-versioned
@@ -38,6 +42,7 @@ latency.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import logging
 import threading
 from collections import deque
@@ -45,7 +50,7 @@ from time import monotonic, sleep
 
 from repro.baselines.fastha import FastHASolver
 from repro.baselines.scipy_reference import ScipySolver
-from repro.batch.solver import BatchSolver, solve_at_size
+from repro.batch.solver import solve_at_size
 from repro.errors import ExecutionError, InvalidProblemError, ReproError, SolverError
 from repro.lap.approx import solve_auction
 from repro.lap.problem import LAPInstance
@@ -59,19 +64,20 @@ from repro.obs.metrics import (
 )
 from repro.obs.spans import NULL_SPANS, NullSpanTracer, child_span, correlation_scope
 from repro.serve.pool import WarmEnginePool
-from repro.serve.request import RejectReason, SolveRequest, SolveResponse, Ticket
-from repro.serve.router import LatencyEstimator, Router
+from repro.serve.request import (
+    RejectReason,
+    SolveRequest,
+    SolveResponse,
+    Ticket,
+    verify_answer,
+)
+from repro.serve.router import LatencyEstimator, RoutePlan, Router
 from repro.serve.sessions import SessionStore
 from repro.serve.stats import RequestLedger
 
 __all__ = ["SolverService"]
 
 logger = logging.getLogger(__name__)
-
-#: Verification tolerance against the scipy optimum (same scale as the
-#: library's differential tests).
-_VERIFY_ABS = 1e-6
-_VERIFY_REL = 1e-9
 
 
 class SolverService:
@@ -85,14 +91,10 @@ class SolverService:
         Bound of the admission queue; submissions beyond it are rejected
         with ``queue_full``.
     max_batch:
-        Micro-batch ceiling: how many same-shape engine-bound requests one
-        worker coalesces into a single :class:`~repro.batch.BatchSolver`
-        run.
-    batch_window_s:
-        Optional linger: a worker holding fewer than ``max_batch`` requests
-        waits up to this long for more same-shape arrivals before running.
-        ``0`` (default) coalesces only what is already queued, which keeps
-        latency minimal and tests deterministic.
+        Micro-batch ceiling: how many queued requests bound for the same
+        engine shape one worker runs on a single warm engine lease.  Only
+        what is already queued is coalesced; a worker never lingers for
+        more arrivals.
     pool:
         The warm engine pool; built from ``solver_factory`` /
         ``memory_budget_bytes`` when omitted.
@@ -100,9 +102,10 @@ class SolverService:
         Routing/degradation policy; a default :class:`Router` when omitted.
     verify:
         When True, every completed result is checked against the scipy
-        optimum before the response resolves; mismatches surface as
-        ``internal_error`` rejections (and a ``serve.verify_failures``
-        counter) instead of silently wrong answers.
+        optimum (:func:`~repro.serve.request.verify_answer`) before the
+        response resolves; mismatches surface as ``internal_error``
+        rejections (and a ``serve.verify_failures`` counter) instead of
+        silently wrong answers.
     metrics:
         Registry for ``serve.*`` instruments (shared with the pool unless
         the pool was passed in pre-built).
@@ -114,9 +117,10 @@ class SolverService:
         way, so log lines stay greppable even without span tracing.
     sessions:
         Optional :class:`~repro.serve.sessions.SessionStore`.  When set,
-        engine-bound requests carrying a ``session_id`` skip micro-batching
-        and run through the solver's warm-start path, seeded from the
-        session's previous solve (see ``docs/serving.md``).
+        engine-bound requests carrying a ``session_id`` run as a batch of
+        one on an engine of their own size, through the solver's
+        warm-start path, seeded from the session's previous solve (see
+        ``docs/serving.md``).
     approx_seed:
         Seed of the approximate tier's auction bidding order
         (:func:`repro.lap.approx.solve_auction`); a fixed seed keeps
@@ -130,7 +134,6 @@ class SolverService:
         workers: int = 4,
         queue_capacity: int = 64,
         max_batch: int = 8,
-        batch_window_s: float = 0.0,
         pool: WarmEnginePool | None = None,
         solver_factory=None,
         memory_budget_bytes: int | None = None,
@@ -160,7 +163,6 @@ class SolverService:
         self.sessions = sessions
         self.approx_seed = int(approx_seed)
         self.max_batch = int(max_batch)
-        self.batch_window_s = float(batch_window_s)
         self.queue_capacity = int(queue_capacity)
 
         self._scipy = ScipySolver()
@@ -274,11 +276,14 @@ class SolverService:
             self.ledger.admit()
             # The queue span must exist before the append: the moment a
             # worker can see the ticket it may dequeue it and end the span.
+            # It opens at the root's start, so the admission wait (this
+            # lock, the ledger) is inside it and the children tile the root.
             if self.spans.enabled:
                 ticket.spans.queue = self.spans.start(
                     "queue",
                     correlation_id=correlation_id,
                     parent=ticket.spans.root,
+                    at=ticket.spans.root.start_s,
                     depth=len(self._queue),
                 )
             self._queue.append(ticket)
@@ -344,14 +349,7 @@ class SolverService:
                 f"serve.rejected.{code}", f"requests rejected: {code}"
             ).inc()
             if self.spans.enabled:
-                spans = ticket.spans
-                if spans.queue is not None:
-                    self.spans.end(spans.queue, "rejected")
-                if spans.execute is not None:
-                    self.spans.end(spans.execute, "rejected")
-                if spans.root is not None:
-                    spans.root.set(reject=code)
-                    self.spans.end(spans.root, "rejected")
+                self._end_spans(ticket, "rejected", reject=code)
             logger.info("rejected request %d: %s (%s)", ticket.request_id, code, detail)
         return ticket
 
@@ -372,15 +370,8 @@ class SolverService:
                     self._reject_ticket(ticket, "shutdown", "service closed")
                     continue
                 head = self._take_live_ticket_locked()
-            if head is None:
-                continue
-            try:
+            if head is not None:
                 self._dispatch(head)
-            except Exception:  # pragma: no cover - backstop, must not die
-                logger.exception("worker crashed on request %d", head.request_id)
-                self._reject_ticket(
-                    head, "internal_error", "unexpected worker failure"
-                )
 
     def _take_live_ticket_locked(self) -> Ticket | None:
         """Pop the next ticket, terminally resolving dead ones in passing."""
@@ -404,44 +395,66 @@ class SolverService:
         return None
 
     def _dispatch(self, head: Ticket) -> None:
-        """Plan, micro-batch, and execute starting from ``head``."""
+        """Plan and micro-batch from ``head``, then walk each ticket's ladder.
+
+        An engine-bound batch leases one engine at the head's
+        ``engine_target`` inside the head's ``execute`` scope, so a
+        ``pool.compile`` lands in the head request's tree; every member
+        then runs its own ladder walk on that lease.
+        """
         with correlation_scope(head.request.correlation_id):
-            self._mark_dequeued(head)
-            now = monotonic()
-            plan = self.router.plan(head.request, self.pool.warm_sizes(), now)
-            if (
-                self.sessions is not None
-                and head.request.session_id
-                and plan.backend == "hunipu"
-            ):
-                # Session traffic runs solo on an engine of the request's
-                # own size — warm-start seeds are shape-exact, so neither
-                # micro-batching nor pad-to-cached applies.
+            batch = [(head, None)]  # every ticket taken, for the backstop
+            try:
+                self._mark_dequeued(head)
+                plan = self.router.plan(
+                    head.request, self.pool.warm_sizes(), monotonic()
+                )
+                session = plan.backend == "hunipu" and self._session_bound(head.request)
+                if session:
+                    # Warm-start seeds are shape-exact, so a session
+                    # request runs alone on an engine of its own size.
+                    plan = dataclasses.replace(plan, engine_target=head.request.size)
+                batch = [(head, plan)]
+                if plan.backend == "hunipu" and not session and self.max_batch > 1:
+                    batch += self._coalesce(plan.engine_target)
                 with self._stats_lock:
                     self._batches += 1
-                self._execute_engine_session(head, plan)
-                return
-            batch = [head]
-            if plan.backend == "hunipu" and self.max_batch > 1:
-                batch += self._coalesce(head, plan)
-            if len(batch) > 1:
-                with self._stats_lock:
                     self._coalesced += len(batch) - 1
-                self.metrics.histogram(
-                    "serve.batch_size",
-                    "engine micro-batch sizes",
-                    buckets=tuple(float(2**i) for i in range(0, 8)),
-                ).observe(len(batch))
-            with self._stats_lock:
-                self._batches += 1
-            if plan.backend == "hunipu":
-                self._execute_engine_batch(batch, plan)
-            else:
-                for ticket in batch:
-                    self._execute_ladder(ticket, plan, lease=None)
+                if len(batch) > 1:
+                    self.metrics.histogram(
+                        "serve.batch_size",
+                        "engine micro-batch sizes",
+                        buckets=tuple(float(2**i) for i in range(0, 8)),
+                    ).observe(len(batch))
+                if plan.backend != "hunipu":
+                    self._execute_ladder(head, plan, lease=None)
+                    return
+                with self._execute_scope(head):
+                    lease = self.pool.acquire(plan.engine_target)
+                try:
+                    for ticket, ticket_plan in batch:
+                        self._execute_ladder(
+                            ticket, ticket_plan, lease, batched=len(batch)
+                        )
+                finally:
+                    lease.release()
+            except Exception:  # pragma: no cover - backstop, must not die
+                logger.exception("worker crashed on request %d", head.request_id)
+                for ticket, _ in batch:
+                    self._reject_ticket(
+                        ticket, "internal_error", "unexpected worker failure"
+                    )
+
+    def _session_bound(self, request: SolveRequest) -> bool:
+        """True when the engine leg solves ``request`` from its session's seed."""
+        return self.sessions is not None and bool(request.session_id)
 
     def _mark_dequeued(self, ticket: Ticket) -> None:
-        """A worker picked the ticket up: close ``queue``, open ``execute``."""
+        """A worker picked the ticket up: close ``queue``, open ``execute``.
+
+        ``execute`` opens at the instant ``queue`` closed, so the two
+        children tile the root with no gap between them.
+        """
         if not self.spans.enabled:
             return
         spans = ticket.spans
@@ -452,265 +465,196 @@ class SolverService:
                 "execute",
                 correlation_id=ticket.request.correlation_id,
                 parent=spans.root,
+                at=None if spans.queue is None else spans.queue.end_s,
+            )
+
+    def _end_spans(self, ticket: Ticket, status: str, **root_attributes) -> None:
+        """Close a request's open spans; the root ends where its last child did.
+
+        A ``queue`` span already closed at dequeue keeps its status
+        (:meth:`~repro.obs.spans.SpanCollector.end` is idempotent).
+        """
+        spans = ticket.spans
+        last = None
+        for child in (spans.queue, spans.execute):
+            if child is not None:
+                self.spans.end(child, status)
+                last = child
+        if spans.root is not None:
+            spans.root.set(**root_attributes)
+            self.spans.end(
+                spans.root, status, at=None if last is None else last.end_s
             )
 
     def _execute_scope(self, ticket: Ticket):
         """Context manager making the ticket's ``execute`` span ambient.
 
         Inside it, :func:`repro.obs.spans.child_span` calls from deep
-        layers (the batch solver, the BSP engine, the pool's compile path)
-        attach to this request's tree.  A no-op when spans are disabled.
+        layers (the BSP engine, the pool's compile path) attach to this
+        request's tree.  A no-op when spans are disabled.
         """
         if self.spans.enabled and ticket.spans.execute is not None:
             return self.spans.activate(ticket.spans.execute)
         return contextlib.nullcontext()
 
-    def _coalesce(self, head: Ticket, plan) -> list[Ticket]:
-        """Pull queued engine-bound tickets that share ``head``'s shape.
+    def _coalesce(self, engine_target: int) -> list[tuple[Ticket, RoutePlan]]:
+        """Pull queued tickets the router sends to the ``engine_target`` engine.
 
-        With a positive ``batch_window_s`` the worker lingers for more
-        same-shape arrivals until the window closes or the batch fills.
+        Each comes back with its own plan, so a member keeps its own
+        tier's ladder.  Session-bound tickets are left queued: they run
+        alone.
         """
-        gathered: list[Ticket] = []
-        window_ends = monotonic() + self.batch_window_s
-        while True:
-            with self._cond:
-                keep: deque[Ticket] = deque()
-                while self._queue and len(gathered) < self.max_batch - 1:
-                    candidate = self._queue.popleft()
-                    if candidate.cancelled or candidate.request.expired():
-                        # Re-route through the terminal resolution path.
-                        keep.append(candidate)
-                        continue
-                    candidate_plan = self.router.plan(
-                        candidate.request, self.pool.warm_sizes(), monotonic()
-                    )
-                    if (
-                        candidate_plan.backend == "hunipu"
-                        and candidate_plan.engine_target == plan.engine_target
-                    ):
-                        self._mark_dequeued(candidate)
-                        gathered.append(candidate)
-                    else:
-                        keep.append(candidate)
-                # Preserve arrival order for everything we did not take.
-                keep.extend(self._queue)
-                self._queue.clear()
-                self._queue.extend(keep)
-                if self._queue:
-                    self._cond.notify()
-            remaining = window_ends - monotonic()
-            if len(gathered) >= self.max_batch - 1 or remaining <= 0:
-                return gathered
-            with self._cond:
-                self._cond.wait(timeout=remaining)
+        gathered: list[tuple[Ticket, RoutePlan]] = []
+        with self._cond:
+            keep: deque[Ticket] = deque()
+            while self._queue and len(gathered) < self.max_batch - 1:
+                candidate = self._queue.popleft()
+                if (
+                    candidate.cancelled
+                    or candidate.request.expired()
+                    or self._session_bound(candidate.request)
+                ):
+                    # Re-route through the terminal resolution path, or
+                    # leave for a worker of its own.
+                    keep.append(candidate)
+                    continue
+                candidate_plan = self.router.plan(
+                    candidate.request, self.pool.warm_sizes(), monotonic()
+                )
+                if (
+                    candidate_plan.backend == "hunipu"
+                    and candidate_plan.engine_target == engine_target
+                ):
+                    self._mark_dequeued(candidate)
+                    gathered.append((candidate, candidate_plan))
+                else:
+                    keep.append(candidate)
+            # Preserve arrival order for everything we did not take.
+            keep.extend(self._queue)
+            self._queue.clear()
+            self._queue.extend(keep)
+            if self._queue:
+                self._cond.notify()
+        return gathered
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
 
-    def _execute_engine_batch(self, tickets: list[Ticket], plan) -> None:
-        """Run an engine micro-batch; on faults, fall back per request.
-
-        The head ticket's ``execute`` span is ambient for the shared work
-        (pool lease, batch solve, engine run), so the per-step engine story
-        hangs off the request that triggered the batch; members record the
-        shared run via their ``batched`` attribute.
-        """
-        head = tickets[0]
-        with self._execute_scope(head):
-            lease = self.pool.acquire(plan.engine_target)
-            try:
-                started = monotonic()
-                try:
-                    batch_solver = BatchSolver(
-                        lease.solver, pad_limit=self.router.pad_limit
-                    )
-                    outcome = batch_solver.solve_batch(
-                        [ticket.request.instance for ticket in tickets]
-                    )
-                except ExecutionError as exc:
-                    logger.warning(
-                        "engine micro-batch of %d failed (%s); degrading per request",
-                        len(tickets),
-                        exc,
-                    )
-                    # Each member gets re-attempted individually — that is one
-                    # engine retry per request, and the accounting must show it.
-                    self.ledger.retried(len(tickets))
-                    self.metrics.counter(
-                        "serve.retries", "engine retries after faults"
-                    ).inc(len(tickets))
-                    sleep(self.router.backoff_s(0))
-                    for ticket in tickets:
-                        self._execute_ladder(ticket, plan, lease=lease)
-                    return
-                elapsed = monotonic() - started
-                per_request = elapsed / len(tickets)
-                self.router.estimator.observe(
-                    "hunipu", plan.engine_target, per_request
-                )
-                for ticket, result in zip(tickets, outcome.results):
-                    self._complete(
-                        ticket,
-                        result,
-                        backend="hunipu",
-                        plan=plan,
-                        retries=0,
-                        batched=len(tickets),
-                        service_s=per_request,
-                    )
-            finally:
-                lease.release()
-
-    def _execute_engine_session(self, ticket: Ticket, plan) -> None:
-        """Run a session-bound request through the warm-start path.
-
-        Looks up the session's previous seed, leases an engine at the
-        request's exact size, and lets :meth:`HunIPUSolver.resolve` pick
-        warm or cold (the changed-row delta decides).  The captured seed
-        for the next solve is recorded back into the store either way.
-        Engine faults descend the regular backend ladder.
-        """
-        request = ticket.request
-        assert self.sessions is not None and request.session_id
-        with self._execute_scope(ticket):
-            seed = self.sessions.get(request.session_id, request.size)
-            lease = self.pool.acquire(request.size)
-            try:
-                started = monotonic()
-                try:
-                    with child_span(
-                        "session.resolve",
-                        session=request.session_id,
-                        seed_hit=seed is not None,
-                    ) as span:
-                        result = lease.solver.resolve(request.instance, seed)
-                        span.set(mode=result.stats["resolve"]["mode"])
-                except ReproError as exc:
-                    logger.warning(
-                        "session solve failed for request %d (%s); "
-                        "descending ladder",
-                        request.request_id,
-                        exc,
-                    )
-                    self._execute_ladder(ticket, plan, lease=lease)
-                    return
-                service_s = monotonic() - started
-                self.router.estimator.observe("hunipu", request.size, service_s)
-                # The seed is process-internal state, not response payload.
-                next_seed = result.stats.pop("warm_start", None)
-                self.sessions.record(
-                    request.session_id,
-                    next_seed,
-                    supersteps=int(result.stats["supersteps"]),
-                    warm_used=bool(result.stats["warm_start_used"]),
-                )
-                self._complete(
-                    ticket,
-                    result,
-                    backend="hunipu",
-                    plan=plan,
-                    retries=0,
-                    batched=1,
-                    service_s=service_s,
-                )
-            finally:
-                lease.release()
-
-    def _execute_ladder(self, ticket: Ticket, plan, lease) -> None:
+    def _execute_ladder(self, ticket: Ticket, plan, lease, *, batched: int = 1) -> None:
         """Walk one ticket down its backend ladder (engine leg first).
 
-        Each leg runs inside a ``backend.<name>`` child span of the
-        ticket's ``execute`` span; a leg that raises is recorded with
-        ``status="error"`` before the ladder descends, so degraded and
-        fallback journeys leave a complete span tree.
+        Each attempt at a leg runs inside a ``backend.<name>`` child span
+        of the ticket's ``execute`` span; an attempt that raises is
+        recorded with ``status="error"``.  The engine leg solves on
+        ``lease`` (the batch's engine) and makes ``1 + router.max_retries``
+        attempts on :class:`~repro.errors.ExecutionError`, backing off
+        between them and counting each retry once, in the ledger and in
+        the response.  Any other failure, or the last engine fault,
+        descends the ladder, so degraded and fallback journeys leave a
+        complete span tree.
         """
         request = ticket.request
         retries = 0
         descended_on_error = False
         with correlation_scope(request.correlation_id), self._execute_scope(ticket):
             for position, backend in enumerate(plan.ladder):
+                engine = backend == "hunipu"
+                attempts = 1 + self.router.max_retries if engine else 1
                 started = monotonic()
-                try:
-                    with child_span(f"backend.{backend}", position=position):
-                        if backend == "hunipu":
-                            result, retries = self._engine_attempts(
-                                request, plan, lease
-                            )
-                        elif backend == "fastha":
-                            result = self._fastha_solve(request.instance)
-                        elif backend == "approx":
-                            result = solve_auction(
-                                request.instance, seed=self.approx_seed
-                            )
-                        else:
-                            result = self._scipy.solve(request.instance)
-                except ReproError as exc:
-                    logger.warning(
-                        "backend %s failed for request %d (%s); descending ladder",
+                for attempt in range(attempts):
+                    if attempt:
+                        backoff = self.router.backoff_s(attempt - 1)
+                        retries += 1
+                        self.ledger.retried()
+                        self.metrics.counter(
+                            "serve.retries", "engine retries after faults"
+                        ).inc()
+                        logger.info(
+                            "engine fault on request %d, retrying in %.3f s",
+                            request.request_id,
+                            backoff,
+                        )
+                        sleep(backoff)
+                    try:
+                        with child_span(
+                            f"backend.{backend}", position=position, attempt=attempt
+                        ):
+                            result = self._solve_on(backend, request, plan, lease)
+                    except ExecutionError as exc:
+                        error = exc
+                        continue  # retry; past the last attempt, descend
+                    except ReproError as exc:
+                        error = exc
+                        break
+                    service_s = monotonic() - started
+                    # ``Router.plan`` reads the engine estimate at the
+                    # target shape, so that is where it is fed.
+                    self.router.estimator.observe(
                         backend,
-                        request.request_id,
-                        exc,
+                        plan.engine_target if engine else request.size,
+                        service_s,
                     )
-                    descended_on_error = True
-                    continue
-                service_s = monotonic() - started
-                self.router.estimator.observe(backend, request.size, service_s)
-                fallback_reason = None
-                if plan.preempted:
-                    fallback_reason = "deadline"
-                elif descended_on_error or position > 0:
-                    fallback_reason = "engine_error"
-                self._complete(
-                    ticket,
-                    result,
-                    backend=backend,
-                    plan=plan,
-                    retries=retries,
-                    batched=1,
-                    service_s=service_s,
-                    fallback_reason=fallback_reason,
+                    fallback_reason = None
+                    if plan.preempted:
+                        fallback_reason = "deadline"
+                    elif descended_on_error or position > 0:
+                        fallback_reason = "engine_error"
+                    self._complete(
+                        ticket,
+                        result,
+                        backend=backend,
+                        plan=plan,
+                        retries=retries,
+                        batched=batched,
+                        service_s=service_s,
+                        fallback_reason=fallback_reason,
+                    )
+                    return
+                logger.warning(
+                    "backend %s failed for request %d (%s); descending ladder",
+                    backend,
+                    request.request_id,
+                    error,
                 )
-                return
+                descended_on_error = True
         # Every ladder leg failed — the scipy backstop raising is not an
         # expected state, but the request must still terminate.
         self._reject_ticket(
             ticket, "internal_error", "every backend in the ladder failed"
         )
 
-    def _engine_attempts(self, request: SolveRequest, plan, lease):
-        """The engine leg: initial try plus retries with backoff."""
-        owned = lease is None
-        if owned:
-            lease = self.pool.acquire(plan.engine_target)
-        try:
-            attempts = 1 + self.router.max_retries
-            for attempt in range(attempts):
-                try:
-                    batch_solver = BatchSolver(
-                        lease.solver, pad_limit=self.router.pad_limit
-                    )
-                    outcome = batch_solver.solve_batch([request.instance])
-                    return outcome.results[0], attempt
-                except ExecutionError:
-                    if attempt + 1 >= attempts:
-                        raise
-                    backoff = self.router.backoff_s(attempt)
-                    self.ledger.retried()
-                    self.metrics.counter(
-                        "serve.retries", "engine retries after faults"
-                    ).inc()
-                    logger.info(
-                        "engine fault on request %d, retrying in %.3f s",
-                        request.request_id,
-                        backoff,
-                    )
-                    sleep(backoff)
-            raise AssertionError("unreachable")  # pragma: no cover
-        finally:
-            if owned:
-                lease.release()
+    def _solve_on(
+        self, backend: str, request: SolveRequest, plan, lease
+    ) -> AssignmentResult:
+        """One attempt at ``backend``; the engine leg solves on ``lease``."""
+        instance = request.instance
+        if backend == "fastha":
+            return self._fastha_solve(instance)
+        if backend == "approx":
+            return solve_auction(instance, seed=self.approx_seed)
+        if backend != "hunipu":
+            return self._scipy.solve(instance)
+        if not self._session_bound(request):
+            return solve_at_size(lease.solver, instance, plan.engine_target)
+        # A session request: let :meth:`HunIPUSolver.resolve` pick warm or
+        # cold from the session's previous seed (the changed-row delta
+        # decides), and record the seed it captures for the next solve.
+        seed = self.sessions.get(request.session_id, request.size)
+        with child_span(
+            "session.resolve", session=request.session_id, seed_hit=seed is not None
+        ) as span:
+            result = lease.solver.resolve(instance, seed)
+            span.set(mode=result.stats["resolve"]["mode"])
+        # The seed is process-internal state, not response payload.
+        next_seed = result.stats.pop("warm_start", None)
+        self.sessions.record(
+            request.session_id,
+            next_seed,
+            supersteps=int(result.stats["supersteps"]),
+            warm_used=bool(result.stats["warm_start_used"]),
+        )
+        return result
 
     def _fastha_solve(self, instance: LAPInstance) -> AssignmentResult:
         """FastHA as an *exact* backend.
@@ -753,8 +697,11 @@ class SolverService:
                     correlation_id=request.correlation_id,
                     parent=ticket.spans.execute,
                 )
-            verified = self._verified(
-                request.instance, result, gap_bound=gap_bound
+            verified = verify_answer(
+                request.instance,
+                result.assignment,
+                result.total_cost,
+                gap_bound=gap_bound,
             )
             if verify_span is not None:
                 self.spans.end(verify_span, "ok" if verified else "error")
@@ -819,46 +766,14 @@ class SolverService:
             buckets=LATENCY_SECONDS_BUCKETS,
         ).observe(latency)
         if self.spans.enabled:
-            spans = ticket.spans
-            if spans.queue is not None:
-                self.spans.end(spans.queue)  # normally closed at dequeue
-            if spans.execute is not None:
-                spans.execute.set(
-                    backend=backend, batched=batched, retries=retries
-                )
+            execute = ticket.spans.execute
+            if execute is not None:
+                execute.set(backend=backend, batched=batched, retries=retries)
                 if gap_bound is not None:
-                    spans.execute.set(gap_bound=gap_bound)
-                self.spans.end(spans.execute)
-            if spans.root is not None:
-                spans.root.set(
-                    backend=backend, degraded=degraded, latency_s=latency
-                )
-                self.spans.end(spans.root, "ok")
-
-    @staticmethod
-    def _verified(
-        instance: LAPInstance,
-        result: AssignmentResult,
-        *,
-        gap_bound: float | None = None,
-    ) -> bool:
-        """Check ``result`` against the scipy oracle.
-
-        Exact backends (``gap_bound is None``) must match the optimum to
-        within float tolerance.  Approximate results must not *beat* the
-        optimum and must stay within their own certified gap bound —
-        verification failing here means the certificate lied, which the
-        property suite treats as a hard bug.
-        """
-        from scipy.optimize import linear_sum_assignment
-
-        rows, cols = linear_sum_assignment(instance.costs)
-        optimum = float(instance.costs[rows, cols].sum())
-        tolerance = _VERIFY_ABS + _VERIFY_REL * abs(optimum)
-        if gap_bound is None:
-            return abs(result.total_cost - optimum) <= tolerance
-        excess = result.total_cost - optimum
-        return -tolerance <= excess <= gap_bound + tolerance
+                    execute.set(gap_bound=gap_bound)
+            self._end_spans(
+                ticket, "ok", backend=backend, degraded=degraded, latency_s=latency
+            )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -913,7 +828,6 @@ class SolverService:
                 "workers": len(self._workers),
                 "queue_capacity": self.queue_capacity,
                 "max_batch": self.max_batch,
-                "batch_window_s": self.batch_window_s,
                 "verify": self.verify,
                 **(meta or {}),
             },

@@ -50,11 +50,10 @@ import os
 import queue
 import threading
 from time import monotonic, sleep
-from typing import Any
 
 import numpy as np
 
-from repro.obs.export import SOLVE_RESPONSE_SCHEMA
+from repro.obs.export import _WIRE_ONLY_REJECT_CODES, SOLVE_RESPONSE_SCHEMA
 from repro.obs.metrics import (
     LATENCY_SECONDS_BUCKETS,
     MetricsRegistry,
@@ -63,7 +62,7 @@ from repro.obs.metrics import (
 from repro.serve.request import REJECT_CODES
 from repro.serve.stats import RequestLedger
 
-__all__ = ["PoolTicket", "WorkerPool", "wire_response"]
+__all__ = ["PoolTicket", "WorkerPool", "reject_document", "wire_response"]
 
 logger = logging.getLogger(__name__)
 
@@ -91,7 +90,16 @@ def wire_response(
     worker-local ones — the ids a client correlates on must survive
     re-dispatch to a different worker process.
     """
-    document: dict[str, Any] = {
+    if response.reject is not None:
+        return reject_document(
+            request_id=request_id,
+            correlation_id=correlation_id,
+            tier=tier,
+            code=response.reject.code,
+            detail=response.reject.detail,
+            worker=worker,
+        )
+    return {
         "schema": SOLVE_RESPONSE_SCHEMA,
         "request_id": int(request_id),
         "correlation_id": correlation_id,
@@ -107,32 +115,28 @@ def wire_response(
         "deadline_missed": response.deadline_missed,
         "gap_bound": response.gap_bound,
         "worker": worker,
-        "assignment": None,
-        "total_cost": None,
+        "assignment": [int(c) for c in response.result.assignment],
+        "total_cost": float(response.result.total_cost),
         "reject": None,
     }
-    if response.result is not None:
-        document["assignment"] = [int(c) for c in response.result.assignment]
-        document["total_cost"] = float(response.result.total_cost)
-    if response.reject is not None:
-        document["reject"] = {
-            "code": response.reject.code,
-            "detail": response.reject.detail,
-        }
-    return document
 
 
-def _reject_document(
+def reject_document(
     *,
     request_id: int,
     correlation_id: str,
-    tier: str,
+    tier: str | None,
     code: str,
     detail: str,
     worker: int | None = None,
 ) -> dict:
-    """A typed-reject wire document minted by the supervisor itself."""
-    assert code in REJECT_CODES, code
+    """The typed-reject wire document, wherever the reject was decided.
+
+    The service's rejects (via :func:`wire_response`), the supervisor's
+    own and the HTTP front-end's pre-submission ones all go through here,
+    so every rejected reply carries the same keys.
+    """
+    assert code in REJECT_CODES + _WIRE_ONLY_REJECT_CODES, code
     return {
         "schema": SOLVE_RESPONSE_SCHEMA,
         "request_id": int(request_id),
@@ -254,7 +258,7 @@ def _worker_main(worker_index: int, config: dict, task_queue, result_queue) -> N
                     "result",
                     worker_index,
                     task["task_id"],
-                    _reject_document(
+                    reject_document(
                         request_id=task["task_id"],
                         correlation_id=task["correlation_id"],
                         tier=task.get("tier", "auto"),
@@ -543,7 +547,7 @@ class WorkerPool:
         if handle is None:
             self._resolve(
                 ticket,
-                _reject_document(
+                reject_document(
                     request_id=request_id,
                     correlation_id=correlation_id,
                     tier=tier,
@@ -677,7 +681,7 @@ class WorkerPool:
                 )
                 self._resolve(
                     entry.ticket,
-                    _reject_document(
+                    reject_document(
                         request_id=task["task_id"],
                         correlation_id=task["correlation_id"],
                         tier=task["tier"],
@@ -836,7 +840,6 @@ class WorkerPool:
                 "workers": self.workers,
                 "queue_capacity": self._config["queue_capacity"],
                 "max_batch": self._config["max_batch"],
-                "batch_window_s": 0.0,
                 "verify": self._config["verify"],
                 "mode": "multiprocess",
                 **(meta or {}),
@@ -874,7 +877,7 @@ class WorkerPool:
         for entry in orphans:
             self._resolve(
                 entry.ticket,
-                _reject_document(
+                reject_document(
                     request_id=entry.task["task_id"],
                     correlation_id=entry.task["correlation_id"],
                     tier=entry.tier,

@@ -26,6 +26,7 @@ from repro.serve import (
     ServiceAdapter,
     SolverService,
 )
+from repro.serve.workers import reject_document
 
 _RNG = np.random.default_rng(11)
 
@@ -50,6 +51,11 @@ def _assert_typed_reject(status, document, code):
     assert document["status"] == "rejected"
     assert document["reject"]["code"] == code
     assert document["correlation_id"]  # never empty, never missing
+    # Front-end rejects share the one builder's key set with every other.
+    template = reject_document(
+        request_id=0, correlation_id="c", tier=None, code=code, detail=""
+    )
+    assert document.keys() == template.keys()
 
 
 def test_happy_path_solves_and_validates(client):

@@ -8,11 +8,12 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from repro.core.solver import HunIPUSolver
+from repro.errors import ExecutionError
 from repro.lap.problem import LAPInstance
 from repro.obs.export import validate_document
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import SolverService, WarmEnginePool, flaky_factory
-from repro.serve.service import SolverService as ServiceClass
+from repro.serve import service as service_module
 
 
 def _instance(size=6, seed=0, name="t"):
@@ -220,7 +221,48 @@ class TestDegradation:
         assert not response.degraded  # retried, but served by the right backend
         document = service.stats_document()
         validate_document(document)
-        assert document["fallbacks"]["retries"] >= 1
+        assert response.retries == 1 == document["fallbacks"]["retries"]
+
+    def test_batch_member_fault_retries_only_that_member(self):
+        gate = threading.Event()
+        runs: list[str] = []
+        faulted: set[str] = set()
+
+        class OneFaultSolver(_gated_factory(gate)):
+            def _run_engine(self, compiled, instance, **kwargs):
+                runs.append(instance.name)
+                if instance.name == "member-2" and instance.name not in faulted:
+                    faulted.add(instance.name)
+                    raise ExecutionError("injected fault on one batch member")
+                return super()._run_engine(compiled, instance, **kwargs)
+
+        metrics = MetricsRegistry()
+        service = SolverService(
+            workers=1,
+            max_batch=4,
+            metrics=metrics,
+            pool=WarmEnginePool(OneFaultSolver, metrics=metrics),
+        )
+        try:
+            blocker = service.submit(_instance(seed=50, name="blocker"), tier="ipu")
+            assert _wait_until(lambda: service.queue_depth() == 0)
+            tickets = [
+                service.submit(_instance(seed=51 + i, name=f"member-{i}"), tier="ipu")
+                for i in range(4)
+            ]
+            gate.set()
+            assert blocker.response(60.0).ok
+            responses = [t.response(60.0) for t in tickets]
+        finally:
+            gate.set()
+            service.close()
+        assert all(r.ok and r.backend == "hunipu" for r in responses)
+        assert not any(r.degraded for r in responses)
+        assert [r.batched for r in responses] == [4, 4, 4, 4]
+        assert len([name for name in runs if name.startswith("member-")]) == 5
+        document = service.stats_document()
+        validate_document(document)
+        assert document["fallbacks"]["retries"] == 1 == sum(r.retries for r in responses)
 
     def test_degraded_results_are_still_optimal(self):
         pool = WarmEnginePool(flaky_factory(failures_before_success=10**9))
@@ -236,9 +278,7 @@ class TestDegradation:
 
     def test_verification_failure_is_never_silent(self, monkeypatch):
         monkeypatch.setattr(
-            ServiceClass,
-            "_verified",
-            staticmethod(lambda instance, result, **kwargs: False),
+            service_module, "verify_answer", lambda *args, **kwargs: False
         )
         with SolverService(workers=1, verify=True) as service:
             response = service.solve(_instance(), timeout=60.0)

@@ -1,5 +1,8 @@
 """Tests for the warm-start session cache and its service routing."""
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from repro.core.solver import HunIPUSolver
 from repro.lap.problem import LAPInstance
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.loadgen import generate_workload, run_load
+from repro.serve.pool import WarmEnginePool
 from repro.serve.sessions import SessionStore
 from repro.serve.service import SolverService
 
@@ -89,6 +93,46 @@ class TestServiceSessions:
         assert stats["misses"] == 1  # only the first visit
         assert stats["hits"] == 3
         assert stats["warm_solves"] == 3
+
+    def test_session_request_is_never_coalesced(self):
+        gate = threading.Event()
+
+        class GatedSolver(HunIPUSolver):
+            def _run_engine(self, compiled, instance, **kwargs):
+                gate.wait(timeout=30.0)
+                return super()._run_engine(compiled, instance, **kwargs)
+
+        rng = np.random.default_rng(3)
+        costs = rng.random((8, 8))
+        sessions = SessionStore()
+        service = SolverService(
+            workers=1,
+            max_batch=4,
+            sessions=sessions,
+            pool=WarmEnginePool(GatedSolver, metrics=MetricsRegistry()),
+        )
+        try:
+            first = service.submit(
+                LAPInstance(costs.copy()), tier="ipu", session_id="s"
+            )
+            deadline = time.monotonic() + 10.0
+            while service.queue_depth() and time.monotonic() < deadline:
+                time.sleep(0.005)
+            # Queued behind the running first solve: a plain request that
+            # heads the next batch, then the session's same-shape follow-up.
+            plain = service.submit(LAPInstance(rng.random((8, 8))), tier="ipu")
+            costs[0] = rng.random(8)
+            follow = service.submit(
+                LAPInstance(costs.copy()), tier="ipu", session_id="s"
+            )
+            gate.set()
+            responses = [t.response(60.0) for t in (first, plain, follow)]
+        finally:
+            gate.set()
+            service.close()
+        assert all(r.ok and r.backend == "hunipu" for r in responses)
+        assert [r.batched for r in responses] == [1, 1, 1]
+        assert sessions.stats()["warm_solves"] == 1
 
     def test_sessions_block_in_stats_document(self):
         sessions = SessionStore()

@@ -29,7 +29,8 @@ from repro.obs.export import (
     validate_solve_response,
 )
 from repro.serve.faults import CRASH_EXIT_CODE, FlakyEngineSolver
-from repro.serve.workers import PoolTicket, WorkerPool, _reject_document
+from repro.serve.request import RejectReason, SolveResponse
+from repro.serve.workers import PoolTicket, WorkerPool, reject_document, wire_response
 
 _RNG = np.random.default_rng(7)
 
@@ -93,7 +94,7 @@ def test_crash_rate_is_validated():
 
 
 def test_reject_document_is_schema_valid():
-    document = _reject_document(
+    document = reject_document(
         request_id=3,
         correlation_id="corr-3",
         tier="auto",
@@ -101,8 +102,18 @@ def test_reject_document_is_schema_valid():
         detail="no live worker available",
     )
     validate_solve_response(document)
+    # The service's rejects reach the wire through the same builder.
+    rejected = SolveResponse(
+        request_id=9, status="rejected", reject=RejectReason("queue_full", "full")
+    )
+    wired = wire_response(
+        rejected, request_id=3, correlation_id="corr-3", tier="auto", worker=1
+    )
+    validate_solve_response(wired)
+    assert wired.keys() == document.keys()
+    assert wired["worker"] == 1 and wired["reject"]["code"] == "queue_full"
     with pytest.raises(AssertionError):
-        _reject_document(
+        reject_document(
             request_id=4,
             correlation_id="corr-4",
             tier="auto",
