@@ -1,28 +1,21 @@
-"""Batch-throughput benchmark — BatchSolver vs sequential solve_many.
+"""Batch-throughput benchmark: BatchSolver on a same-size and a mixed stream.
 
 The paper's motivating workloads "run the Hungarian algorithm hundreds of
-times" per task (§I).  This harness solves the same stream of same-sized
-instances twice, sequentially
-(:meth:`~repro.core.solver.HunIPUSolver.solve_many`) and through
-:class:`repro.batch.BatchSolver`, verifies the results are bit-identical,
-and reports the per-instance wall-clock ratio.  Both paths run every
-instance through ``solve`` on a pre-compiled graph, so the ratio measures
-the batch's grouping overhead and reads about 1.0; the batch's gain is the
-compile it saves on mixed-size streams.  A mixed-size stream exercises the
-pad-to-cached-size policy on top.
+times" per task (§I).  This harness solves a stream of same-sized
+instances through :class:`repro.batch.BatchSolver` on a pre-compiled graph
+and reports the best round's wall time per instance.  A mixed-size stream
+exercises the pad-to-cached-size policy on top: the batch's gain is the
+compile it saves there, since every member runs through ``solve`` either
+way.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from repro.batch import BatchSolver
 from repro.bench.harness import ExperimentResult, format_grid
 from repro.bench.recording import BenchScale, RunRecord
 from repro.core.solver import HunIPUSolver
 from repro.data.synthetic import uniform_instance
-from repro.obs.perf import alternating_minimum
-from repro.obs.timing import wall_timer
 
 __all__ = ["run_batch_bench"]
 
@@ -37,86 +30,38 @@ _GRID = {
 
 
 def run_batch_bench(scale: BenchScale | None = None, *, seed: int = 0) -> ExperimentResult:
-    """Measure batch vs sequential throughput at the given scale.
+    """Measure batch throughput at the given scale.
 
-    Both paths solve the identical stream; timing alternates
-    sequential/batch over several rounds and reports each path's best
-    round (the standard ``timeit`` minimum estimator — scheduler noise
-    only ever adds time, so the minimum is the closest observation of
-    each path's true cost, and alternating keeps slow system phases from
-    biasing one side).
+    The same-size stream is timed over several rounds and reports its best
+    round (the standard ``timeit`` minimum estimator: scheduler noise only
+    ever adds time).  The graph is compiled before the first round, so the
+    one-off compile does not land in any of them.
     """
     scale = scale if scale is not None else BenchScale.from_env()
     size, count, straggler_size, rounds = _GRID[scale.name]
     instances = [
         uniform_instance(size, 1, seed=seed + index) for index in range(count)
     ]
-
-    # Both paths get a pre-compiled graph, so the comparison isolates the
-    # per-instance overhead (the one-off compile would otherwise dominate
-    # either side it lands on).
-    sequential_solver = HunIPUSolver()
-    sequential_solver.compiled_for(size)
     batch_path = BatchSolver(HunIPUSolver())
     batch_path.solver.compiled_for(size)
 
-    outcome: dict[str, object] = {}
-
-    def _sequential_round() -> float:
-        with wall_timer() as sequential_timer:
-            outcome["sequential"] = sequential_solver.solve_many(instances)
-        return sequential_timer.seconds
-
-    def _batch_round() -> float:
-        outcome["batch"] = batch_path.solve_batch(instances)
-        return outcome["batch"].wall_seconds
-
-    timings = alternating_minimum(
-        {"sequential": _sequential_round, "batch": _batch_round}, rounds
-    )
-    sequential_results = outcome["sequential"]
-    batch = outcome["batch"]
-    sequential_rounds = list(timings["sequential"].rounds)
-    batch_rounds = list(timings["batch"].rounds)
-    sequential_wall = timings["sequential"].best
-    batch_wall = timings["batch"].best
-
-    identical = all(
-        np.array_equal(seq.assignment, bat.assignment)
-        and seq.total_cost == bat.total_cost
-        for seq, bat in zip(sequential_results, batch.results)
-    )
-    sequential_per_instance = sequential_wall / count
-    batch_per_instance = batch_wall / count
-    speedup = sequential_per_instance / batch_per_instance
-    device_seconds = sum(r.device_time_s for r in sequential_results)
-
-    params = {"n": size, "count": count}
+    round_walls = []
+    for _ in range(rounds):
+        batch = batch_path.solve_batch(instances)
+        round_walls.append(batch.wall_seconds)
+    batch_wall = min(round_walls)
     records = [
         RunRecord(
             "batch",
-            "hunipu-sequential",
-            params,
-            device_seconds,
-            sequential_wall,
-            extra={
-                "wall_per_instance_s": sequential_per_instance,
-                "instances_per_second": count / sequential_wall,
-                "round_walls_s": sequential_rounds,
-            },
-        ),
-        RunRecord(
-            "batch",
             "hunipu-batch",
-            params,
+            {"n": size, "count": count},
             batch.device_seconds,
             batch_wall,
             extra={
-                "wall_per_instance_s": batch_per_instance,
+                "wall_per_instance_s": batch_wall / count,
                 "instances_per_second": count / batch_wall,
-                "speedup_vs_sequential": speedup,
                 "groups": len(batch.groups),
-                "round_walls_s": batch_rounds,
+                "round_walls_s": round_walls,
             },
         ),
     ]
@@ -145,28 +90,23 @@ def run_batch_bench(scale: BenchScale | None = None, *, seed: int = 0) -> Experi
     )
 
     table = format_grid(
-        f"Batch throughput: {count} x n={size} uniform instances, "
-        f"best of {rounds} alternating rounds (pre-compiled on both paths)",
-        ["sequential", "batch"],
+        f"Batch throughput: {count} x n={size} uniform instances (best of "
+        f"{rounds} rounds, pre-compiled) and a {len(mixed)}-instance mixed stream",
+        ["batch", "mixed"],
         ["wall s", "wall ms/inst", "inst/s"],
         {
-            ("sequential", "wall s"): sequential_wall,
-            ("sequential", "wall ms/inst"): sequential_per_instance * 1e3,
-            ("sequential", "inst/s"): count / sequential_wall,
             ("batch", "wall s"): batch_wall,
-            ("batch", "wall ms/inst"): batch_per_instance * 1e3,
+            ("batch", "wall ms/inst"): batch_wall / count * 1e3,
             ("batch", "inst/s"): count / batch_wall,
+            ("mixed", "wall s"): mixed_batch.wall_seconds,
+            ("mixed", "wall ms/inst"): mixed_batch.wall_seconds / len(mixed) * 1e3,
+            ("mixed", "inst/s"): mixed_batch.instances_per_second,
         },
-        row_header="path",
+        row_header="stream",
+        width=13,
     )
 
     notes = (
-        f"batch results bit-identical to sequential solves "
-        f"({'OK' if identical else 'MISMATCH'})",
-        # Both loops run the same solve() per instance, so the ratio is run
-        # noise around 1.0; it is reported, not judged.
-        f"sequential / batch wall per instance: {speedup:.2f} "
-        "(same solve() per instance on both paths)",
         f"mixed stream solved in {len(mixed_batch.groups)} group(s) with "
         f"{padded} padded instance(s) "
         f"({'OK' if len(mixed_batch.groups) == 1 and padded > 0 else 'CHECK'})",

@@ -84,6 +84,13 @@ class _BoundScan:
     stars are read afresh on every call.  Without ``tensors`` (the
     stateless :meth:`ZeroStatusScan.compute_all`) every call starts from
     scratch.
+
+    Each segment is read up to the largest ``zero_count`` among all rows
+    of the batch, not the row's own count.  While ``compress`` holds stale
+    entries beyond a row's count (after Step 2's row sort, until the first
+    recompress), a vertex therefore sees entries that depend on the other
+    vertices in its batch, and ``per_tile`` runs can differ from batched
+    ones.
     """
 
     def __init__(self, params, cost: CostContext, tensors) -> None:

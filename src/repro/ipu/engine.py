@@ -29,9 +29,12 @@ Two execution modes exist:
   :meth:`~repro.ipu.codelets.Codelet.compute_all` call over all vertices;
 * ``"per_tile"`` — every vertex runs individually (batch of one).
 
-Both produce identical tensor contents and identical cycle charges; the
-equivalence is part of the test suite, which is what justifies trusting the
-fast path.
+Both should produce identical tensor contents and cycle charges, and the
+identity matrix in the test suite compares them.  They can differ today:
+Step 4's status scan reads each segment's slots up to the batch-wide
+``zero_count`` maximum, and after Step 2's row sort ``compress`` holds
+stale entries beyond a row's count, so what one vertex sees depends on
+the vertices batched with it (the Step 2 layout defect on the ROADMAP).
 """
 
 from __future__ import annotations

@@ -87,15 +87,6 @@ class TestDeepAttributionConsistency:
         assert sum(tiles.exchange_by_tensor.values()) == per_set_total
         assert per_set_total == report.exchange_bytes
 
-    def test_solution_unaffected_by_profiling_depth(self, engine_mode):
-        instance = uniform_instance(16, 1, seed=11)
-        baseline = HunIPUSolver(engine_mode=engine_mode).solve(instance)
-        deep = HunIPUSolver(
-            engine_mode=engine_mode, profile_tiles=True
-        ).solve(instance)
-        assert deep.total_cost == baseline.total_cost
-        assert (deep.assignment == baseline.assignment).all()
-
 
 def test_solver_facade_deep_profile_reaches_stats():
     solver = HunIPUSolver(profile_tiles=True)

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -311,6 +312,17 @@ class TestPerfCommand:
         return main(["perf", "record", "--store", str(store),
                      "--rounds", "1", *extra])
 
+    @pytest.fixture(scope="class")
+    def recorded(self, tmp_path_factory):
+        """One suite recording, copied by every test that only reads it."""
+        store = tmp_path_factory.mktemp("perf") / "trends.json"
+        assert self._record(store) == 0
+        return store
+
+    @pytest.fixture
+    def store(self, recorded, tmp_path):
+        return shutil.copy(recorded, tmp_path / "trends.json")
+
     def test_record_creates_valid_store(self, capsys, tmp_path):
         from repro.obs.export import validate_document
 
@@ -322,27 +334,21 @@ class TestPerfCommand:
         assert validate_document(document) == "repro.perf/1"
         assert document["runs"]
 
-    def test_unchanged_compare_passes(self, capsys, tmp_path):
-        store = tmp_path / "trends.json"
-        assert self._record(store) == 0
+    def test_unchanged_compare_passes(self, capsys, store):
         assert main(["perf", "compare", "--store", str(store),
                      "--rounds", "1"]) == 0
         assert "PASS" in capsys.readouterr().out
 
-    def test_injected_slowdown_fails(self, capsys, tmp_path):
+    def test_injected_slowdown_fails(self, capsys, store):
         # The acceptance criterion: a synthetic 2x slowdown must exit
         # non-zero while the unchanged re-run (above) passes.
-        store = tmp_path / "trends.json"
-        assert self._record(store) == 0
         assert main(["perf", "compare", "--store", str(store),
                      "--rounds", "1", "--inject-slowdown", "2"]) == 1
         out = capsys.readouterr().out
         assert "FAIL" in out
         assert "REGRESSION" in out
 
-    def test_budget_ratio_widens_wall_bands(self, capsys, tmp_path):
-        store = tmp_path / "trends.json"
-        assert self._record(store) == 0
+    def test_budget_ratio_widens_wall_bands(self, capsys, store):
         assert main(["perf", "compare", "--store", str(store), "--rounds", "1",
                      "--inject-slowdown", "2", "--budget-ratio", "50"]) == 0
         assert "PASS" in capsys.readouterr().out
@@ -353,10 +359,7 @@ class TestPerfCommand:
                      "--rounds", "1"]) == 0
         assert "no baseline" in capsys.readouterr().out
 
-    def test_report_shows_trend(self, capsys, tmp_path):
-        store = tmp_path / "trends.json"
-        assert self._record(store) == 0
-        capsys.readouterr()
+    def test_report_shows_trend(self, capsys, store):
         assert main(["perf", "report", "--store", str(store)]) == 0
         out = capsys.readouterr().out
         assert "solve/n16" in out
