@@ -80,10 +80,12 @@ class _BoundScan:
     ``zero_count``, so they are kept until either tensor's write counter
     moves.  Each row's first uncovered zero also depends on ``col_cover``,
     which is compared with the previous call's copy: a prime uncovers one
-    column, and only the rows listing it are looked at.  Row covers and
-    stars are read afresh on every call.  Without ``tensors`` (the
-    stateless :meth:`ZeroStatusScan.compute_all`) every call starts from
-    scratch.
+    column, and only the rows listing it are looked at.  With one row per
+    tile, the outputs are then rewritten only for those rows and for rows
+    whose cover changed since the previous call, as long as the write
+    counters show that nothing else wrote the outputs or ``row_star``;
+    otherwise every row is rewritten.  Without ``tensors`` (the stateless
+    :meth:`ZeroStatusScan.compute_all`) every call starts from scratch.
 
     Each segment is read up to the largest ``zero_count`` among all rows
     of the batch, not the row's own count.  While ``compress`` holds stale
@@ -106,9 +108,23 @@ class _BoundScan:
             None if tensors is None else (tensors["compress"], tensors["zero_count"])
         )
         self.key: tuple[int, int] | None = None
+        #: The tail's outputs and ``row_star``: while only this kernel
+        #: wrote the outputs and ``row_star`` is unchanged, a call rewrites
+        #: just the rows whose first open zero or row cover moved.
+        self.watched = (
+            None
+            if tensors is None
+            else tuple(
+                tensors[field]
+                for field in ("zero_status", "zero_col", "partial", "row_star")
+            )
+        )
+        self.expected: tuple[int, ...] | None = None
+        self.cover: np.ndarray | None = None  # row covers at the last call
 
     def __call__(self, views) -> np.ndarray:
         covers = views["col_cover"][0]  # identical broadcast row
+        moved = None  # rows whose first open entry moved; None: any row
         if self.inputs is None:
             self._gather(views, covers)
         else:
@@ -118,27 +134,69 @@ class _BoundScan:
                 self._gather(views, covers)
                 self.key = key
             else:
-                self._refresh(covers)
-        found = self.columns[self.first].reshape(views["row_cover"].shape)
-        found_col = np.where(views["row_cover"] == 0, found, -1)
-        status = np.where(found_col >= 0, views["row_star"] < 0, -1)
-        views["zero_status"][...] = status
-        views["zero_col"][...] = found_col
-        # Fused per-tile arg-max (max status, lowest local row on ties).
+                moved = self._refresh(covers)
+        row_cover, row_star = views["row_cover"], views["row_star"]
         partial = views["partial"]
-        if status.shape[1] == 1:  # one row per tile: the row is the winner
-            partial[:, 0] = status[:, 0]
-            partial[:, 1] = self.row0
-            partial[:, 2] = found_col[:, 0]
-            partial[:, 3] = views["row_star"][:, 0]
-        else:
-            best = status.argmax(axis=1)
-            take = np.arange(len(best))
-            partial[:, 0] = status[take, best]
-            partial[:, 1] = self.row0 + best
-            partial[:, 2] = found_col[take, best]
-            partial[:, 3] = views["row_star"][take, best]
+        if row_cover.shape[1] == 1:
+            # One row per tile (n <= 1472 on a Mk2): every output is one
+            # column, and each tile's row is its own arg-max winner.
+            cover = row_cover[:, 0]
+            if moved is not None and self._outputs_intact():
+                flipped = (cover != self.cover).nonzero()[0].tolist()
+                self.cover[:] = cover
+                self._update_rows(views, moved + flipped)
+            else:
+                row_star = row_star[:, 0]
+                found = np.where(cover, -1, self.columns[self.first])
+                status = np.where(found < 0, -1, row_star < 0)
+                views["zero_status"][:, 0] = status
+                views["zero_col"][:, 0] = found
+                partial[:, 0] = status
+                partial[:, 1] = self.row0
+                partial[:, 2] = found
+                partial[:, 3] = row_star
+                self.cover = cover.copy()
+            if self.watched is not None:
+                # The engine bumps each output once after this superstep.
+                zero_status, zero_col, partials, stars = self.watched
+                self.expected = (
+                    zero_status.writes + 1,
+                    zero_col.writes + 1,
+                    partials.writes + 1,
+                    stars.writes,
+                )
+            return self.cycles
+        found = self.columns[self.first].reshape(row_cover.shape)
+        found = np.where(row_cover, -1, found)
+        status = np.where(found < 0, -1, row_star < 0)
+        views["zero_status"][...] = status
+        views["zero_col"][...] = found
+        # Fused per-tile arg-max (max status, lowest local row on ties).
+        best = status.argmax(axis=1)
+        take = np.arange(len(best))
+        partial[:, 0] = status[take, best]
+        partial[:, 1] = self.row0 + best
+        partial[:, 2] = found[take, best]
+        partial[:, 3] = row_star[take, best]
         return self.cycles
+
+    def _outputs_intact(self) -> bool:
+        """Whether the outputs still hold this kernel's last values."""
+        watched = self.watched
+        return watched is not None and self.expected == tuple(
+            tensor.writes for tensor in watched
+        )
+
+    def _update_rows(self, views, rows: list[int]) -> None:
+        """Rewrite the one-row-per-tile outputs of ``rows`` only."""
+        cover, star = views["row_cover"], views["row_star"]
+        zero_status, zero_col = views["zero_status"], views["zero_col"]
+        partial = views["partial"]
+        for row in rows:
+            col = -1 if cover.item(row, 0) else self.columns.item(self.first.item(row))
+            status = -1 if col < 0 else int(star.item(row, 0) < 0)
+            zero_status[row, 0] = partial[row, 0] = status
+            zero_col[row, 0] = partial[row, 2] = col
 
     def _gather(self, views, covers) -> None:
         """Rebuild the scan list, the charge and every row's first open zero."""
@@ -183,40 +241,37 @@ class _BoundScan:
         self.open = np.empty(width + 2, dtype=covers.dtype)
         self.open[:width] = covers
         self.open[width:] = (1, 0)
+        self.open_cols = self.open[:width]
         self.base = np.arange(0, len(self.codes), self.row_length)
         self.first = self._first_open()
-        self.holders: tuple[np.ndarray, np.ndarray, list[int]] | None = None
 
-    def _refresh(self, covers) -> None:
-        """Apply the columns whose cover changed since the previous call."""
-        width = len(covers)
-        changed = np.flatnonzero(self.open[:width] != covers)
-        if not changed.size:
-            return
-        self.open[:width] = covers
-        changed = changed.tolist()
-        if len(changed) * 8 > width or any(self.open.item(c) for c in changed):
+    def _refresh(self, covers) -> list[int] | None:
+        """Apply the columns whose cover changed since the previous call.
+
+        Returns the rows whose first open entry moved, or ``None`` after a
+        full pass.
+        """
+        changed = (self.open_cols != covers).nonzero()[0].tolist()
+        if not changed:
+            return []
+        self.open_cols[:] = covers
+        newly_covered = len(changed) * 8 > len(covers)
+        for col in changed:
+            newly_covered = newly_covered or covers.item(col) != 0
+        if newly_covered:
             # A column was covered (or many changed): one full pass.
             self.first = self._first_open()
-            return
+            return None
         # Only uncovered columns: a row listing one may now find it first.
-        rows, entries, starts = self._holders()
+        first, row_length = self.first, self.row_length
+        moved = []
         for col in changed:
-            lo, hi = starts[col], starts[col + 1]
-            np.minimum.at(self.first, rows[lo:hi], entries[lo:hi])
-
-    def _holders(self) -> tuple[np.ndarray, np.ndarray, list[int]]:
-        """Entries by column: rows and flat indices ``[starts[c]:starts[c+1]]``."""
-        if self.holders is None:
-            width = len(self.open) - 2
-            entries = np.flatnonzero(self.codes < width)
-            listed = self.codes[entries]
-            order = np.argsort(listed, kind="stable")
-            entries = entries[order]
-            counts = np.bincount(listed, minlength=width)
-            starts = [0, *np.cumsum(counts).tolist()]
-            self.holders = (entries // self.row_length, entries, starts)
-        return self.holders
+            for entry in (self.codes == col).nonzero()[0].tolist():
+                row = entry // row_length
+                if entry < first.item(row):
+                    first[row] = entry
+                    moved.append(row)
+        return moved
 
     def _first_open(self) -> np.ndarray:
         """Flat index of each row's first entry in an uncovered column."""
@@ -242,17 +297,34 @@ def _combine_cycles(cost: CostContext, tiles: int) -> float:
     return float(np.asarray(cost.scan_cycles(tiles * 4)))
 
 
-def _winner(partials: np.ndarray) -> np.ndarray:
-    """The ``[status, row, ...]`` 4-tuple with max status, lowest row on ties.
+class _Winner:
+    """Offset of the ``[status, row, ...]`` 4-tuple with max status, lowest
+    row on ties, in one vertex's flat row of 4-tuples.
 
-    ``partials`` is one vertex's flat row of 4-tuples.  Rows are distinct,
-    so the order is total; the common case, a single top status, costs no
-    row comparison at all.
+    Rows are distinct, so the order is total.  When rows increase along
+    the tuples, as every tile-ordered partial row does, the first top
+    status is the lowest row, and one ``argmax`` finds it.  The row
+    sequence last seen increasing is kept, so only a new one is checked.
     """
-    status = partials[0::4]
-    ties = np.flatnonzero(status == status.max())
-    at = ties[0] if len(ties) == 1 else ties[partials[1::4][ties].argmin()]
-    return partials[4 * at : 4 * at + 4]
+
+    def __init__(self) -> None:
+        self.increasing: bytes | None = None
+
+    def __call__(self, partials: np.ndarray) -> int:
+        status, rows = partials[0::4], partials[1::4]
+        seen = rows.tobytes()
+        if seen != self.increasing:
+            if not (rows[1:] > rows[:-1]).all():
+                ties = np.flatnonzero(status == status.max())
+                return 4 * int(ties[rows[ties].argmin()])
+            self.increasing = seen
+        return 4 * int(status.argmax())
+
+
+def _winner(partials: np.ndarray) -> np.ndarray:
+    """The winning 4-tuple of one flat row of 4-tuples (see :class:`_Winner`)."""
+    at = _Winner()(partials)
+    return partials[at : at + 4]
 
 
 class StatusArgmaxPartial(Codelet):
@@ -298,18 +370,23 @@ class StatusArgmaxFinal(Codelet):
 
     def bind(self, params, cost: CostContext, tensors=None):
         cycles = np.empty(0)  # one shape per plan: priced on the first call
+        winner = _Winner()
 
         def final(views) -> np.ndarray:
             nonlocal cycles
             flat = views["partials"]
+            sel, max_status = views["sel"], views["max_status"]
+            flag_update, flag_aug = views["flag_update"], views["flag_aug"]
+            prime_count = views["prime_count"]
             for vertex, partials in enumerate(flat):
-                winner = _winner(partials)
-                views["sel"][vertex] = winner
-                status = int(winner[0])
-                views["max_status"][vertex, 0] = status
-                views["flag_update"][vertex, 0] = status == -1
-                views["flag_aug"][vertex, 0] = status == 1
-                views["prime_count"][vertex, 0] += status == 0
+                at = winner(partials)
+                sel[vertex] = partials[at : at + 4]
+                status = partials.item(at)
+                max_status[vertex, 0] = status
+                flag_update[vertex, 0] = status == -1
+                flag_aug[vertex, 0] = status == 1
+                if status == 0:
+                    prime_count[vertex, 0] += 1
             if len(cycles) != len(flat):
                 cycles = np.full(len(flat), _combine_cycles(cost, flat.shape[1] // 4))
             return cycles
@@ -331,12 +408,13 @@ class PrimeRowUpdate(Codelet):
         owner_cycles = 2 * cost.cycles_per_dynamic_access
 
         def prime_rows(views) -> np.ndarray:
-            sel = views["sel"][0]
-            row, col = int(sel[1]), int(sel[2])
+            sel, row_prime = views["sel"], views["row_prime"]
+            row_cover = views["row_cover"]
+            col = sel.item(0, 2)
             cycles = checks.copy()
-            for vertex, local in owners(row, views["row_prime"].shape[1]):
-                views["row_prime"][vertex, local] = col
-                views["row_cover"][vertex, local] = 1
+            for vertex, local in owners(sel.item(0, 1), row_prime.shape[1]):
+                row_prime[vertex, local] = col
+                row_cover[vertex, local] = 1
                 cycles[vertex] += owner_cycles
             return cycles
 

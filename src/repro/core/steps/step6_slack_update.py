@@ -46,9 +46,10 @@ class UncoveredMinPartial(Codelet):
         shaped = block.reshape(batch, rows, cols)
         open_rows = views["row_cover"] == 0
         open_cols = views["col_cover"][0][:cols] == 0
-        mask = open_rows[:, :, None] & open_cols[None, None, :]
-        masked = np.where(mask, shaped, np.inf)
-        views["partial"][:, 0] = masked.min(axis=(1, 2))
+        # Minimum over the open columns first (a copy of those columns
+        # only), then over the open rows of each vertex.
+        row_min = np.compress(open_cols, shaped, axis=2).min(axis=2, initial=np.inf)
+        views["partial"][:, 0] = np.where(open_rows, row_min, np.inf).min(axis=1)
         work = open_rows.sum(axis=1) * np.asarray(cost.scan_cycles(cols))
         return np.ceil(work / cost.threads_per_tile) + cost.cycles_per_alu_op
 
@@ -58,7 +59,10 @@ class SlackUpdate(Codelet):
 
     The rank-one form is exactly the paper's rule — +Δ where both line
     covers hold, −Δ where neither does, unchanged otherwise — applied as
-    one streaming pass with paired loads.
+    one streaming pass with paired loads.  A row's addend is one of two
+    patterns, ``Δ·c`` for a covered row and ``Δ·(c − 1)`` for an open
+    one (``c`` the column covers), the same products the rank-one form
+    makes.
     """
 
     fields = {"block": "inout", "row_cover": "in", "col_cover": "in", "delta": "in"}
@@ -70,9 +74,9 @@ class SlackUpdate(Codelet):
         rows = block.shape[1] // cols
         shaped = block.reshape(batch, rows, cols)
         delta = views["delta"][0, 0]
-        row_sign = (views["row_cover"] != 0).astype(block.dtype)
         col_sign = (views["col_cover"][0][:cols] != 0).astype(block.dtype)
-        shaped += delta * (row_sign[:, :, None] + col_sign[None, None, :] - 1.0)
+        covered_rows = (views["row_cover"] != 0)[:, :, None]
+        shaped += np.where(covered_rows, delta * col_sign, delta * (col_sign - 1.0))
         work = rows * cols * (cost.cycles_per_load2 / 2 + 2 * cost.cycles_per_alu_op)
         return np.full(batch, float(np.asarray(cost.segmented(work))))
 

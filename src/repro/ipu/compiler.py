@@ -24,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import operator
-from typing import TYPE_CHECKING, Literal
+from typing import TYPE_CHECKING, Callable, Literal
 
 import numpy as np
 
@@ -182,6 +182,11 @@ class ExecutionPlan:
     def batched(self) -> bool:
         return self.codelet is not None
 
+    @property
+    def aliases_memory(self) -> bool:
+        """True when every field's batch view aliases tensor memory."""
+        return not self._needs_scatter
+
     def batch_views(self) -> tuple[dict[str, np.ndarray], bool]:
         """Gather all field views; second element tells whether any field
         needs a scatter-back after compute (i.e. was copied, not aliased).
@@ -204,17 +209,33 @@ class ExecutionPlan:
             self._cached_versions = versions
         return views, self._needs_scatter
 
-    def tile_compute_cycles(self, vertex_cycles: np.ndarray, spec: IPUSpec) -> float:
-        """BSP compute-phase cost: the busiest tile's busiest worker slot.
+    def slowest_slot(self, overhead: float) -> Callable[[np.ndarray], float]:
+        """The BSP compute-phase charge as a function of vertex cycles.
 
-        Vertices landing on the same tile are dealt round-robin to the
-        tile's worker threads; the tile finishes when its fullest slot
-        drains, and the superstep finishes when the slowest tile does (C3).
+        Each vertex costs its cycles plus ``overhead``.  Vertices landing
+        on the same tile are dealt round-robin to the tile's worker
+        threads; the tile finishes when its fullest slot drains, and the
+        superstep finishes when the slowest tile does (C3).  With one
+        vertex per slot that is the slowest vertex, and the overhead is
+        added after the maximum: rounding is monotonic, so
+        ``max(c) + overhead`` equals ``max(c + overhead)`` bit for bit.
         """
-        if self._single_slot_per_key:
-            return float(vertex_cycles.max(initial=0.0))
-        slot_totals = np.bincount(self._slot_keys, weights=vertex_cycles)
-        return float(slot_totals.max(initial=0.0))
+        # ``item(argmax())`` is the maximum, at a third of the cost of a
+        # NumPy max reduction on arrays this small.
+        if not self._single_slot_per_key:
+            keys = self._slot_keys
+
+            def busiest_slot(vertex_cycles: np.ndarray) -> float:
+                totals = np.bincount(keys, weights=vertex_cycles + overhead)
+                return totals.item(totals.argmax())
+
+            return busiest_slot
+        if len(self._slot_keys) == 1:
+            return lambda vertex_cycles: vertex_cycles.item(0) + overhead
+        return (
+            lambda vertex_cycles: vertex_cycles.item(vertex_cycles.argmax())
+            + overhead
+        )
 
     def tile_cycle_totals(self, vertex_cycles: np.ndarray) -> np.ndarray:
         """Summed cycles per tile in use (for load-balance diagnostics)."""

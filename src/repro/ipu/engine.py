@@ -13,12 +13,18 @@ closures, one per :class:`Execute` or :class:`Copy`, with each control-flow
 node holding its body's flattened tuple.  Every bound step carries its
 plan, codelet, params and the superstep's sync and exchange seconds
 (:func:`~repro.ipu.profiler.fixed_charges`), so a run does no tree walk
-and no per-superstep cost-model work beyond the compute phase.  Each step
-emits one :class:`~repro.ipu.profiler.SuperstepCharge` to the run's
-subscribers: the profiler always, the per-tile accumulator, tracer and
-metrics registry only when enabled.  Every run profiles per compute set
-(:class:`~repro.ipu.profiler.StepRecord`); ``profile_tiles=True`` adds
-per-tile attribution.  Each step also bumps the content write counter
+and no per-superstep cost-model work beyond the compute phase.  When the
+profiler is a run's only subscriber, each step adds its scalars straight
+into it (:meth:`~repro.ipu.profiler.Profiler.add`).  The
+:class:`~repro.ipu.profiler.SuperstepCharge` record is built only when an
+opt-in subscriber is present (the per-tile accumulator, a tracer or a
+metrics registry), and then goes to each subscriber in turn; the path is
+chosen from the subscribers alone, once per run.  Every run profiles per
+compute set (:class:`~repro.ipu.profiler.StepRecord`);
+``profile_tiles=True`` adds per-tile attribution.  A compute set whose
+views all alias tensor memory binds them once; a run re-gathers them only
+after a buffer rebind (:attr:`~repro.ipu.tensor.Tensor.version`).  Each
+step also bumps the content write counter
 (:attr:`~repro.ipu.tensor.Tensor.writes`) of every tensor it writes, and a
 run's start bumps all of them, so bound kernels can key host-side caches on
 those counters (:meth:`~repro.ipu.codelets.Codelet.bind`).
@@ -40,6 +46,7 @@ the vertices batched with it (the Step 2 layout defect on the ROADMAP).
 from __future__ import annotations
 
 import logging
+import operator
 from typing import Callable, Literal
 
 import numpy as np
@@ -66,6 +73,8 @@ from repro.ipu.tensor import Tensor
 __all__ = ["Engine"]
 
 logger = logging.getLogger(__name__)
+
+_VERSION = operator.attrgetter("version")
 
 #: A bound schedule step: runs one superstep or one control-flow node.
 Step = Callable[[], None]
@@ -118,7 +127,13 @@ class Engine:
         self._metrics: MetricsRegistry | None = None
         self._run = _RunState()
         self._running = False
+        #: Re-gather each aliasing plan's views; run when a buffer rebind
+        #: changed the graph's buffer versions (checked at each run start).
+        self._rebinders: list[Callable[[], None]] = []
         self._schedule = self._bind(self.compiled.program)
+        #: Buffer versions the views were bound at; ``None`` binds them at
+        #: the first run, so an engine that never runs never gathers.
+        self._versions: tuple[int, ...] | None = None
 
     # ------------------------------------------------------------------
     # Running
@@ -167,18 +182,29 @@ class Engine:
             self._profiler = self._owned_profiler
         self._profiler.reset()
         # Host writes happen between runs: no derived data survives one.
-        for tensor in self.compiled.graph.tensors:
+        tensors = self.compiled.graph.tensors
+        for tensor in tensors:
             tensor.writes += 1
-        logger.debug(
-            "engine run start: mode=%s, tracing=%s", self.mode, run.tracer.enabled
-        )
-        sinks = list(self._profiler.sinks)
-        if run.tracer.enabled:
-            sinks.append(self._trace_superstep)
-        if metrics is not None:
-            sinks.append(self._observe_superstep)
-        run.sinks = tuple(sinks)
-        run.tile_sinks = len(sinks) > 1
+        versions = tuple(map(_VERSION, tensors))
+        if versions != self._versions:
+            # First run, or a buffer was rebound since the views were bound.
+            for rebind in self._rebinders:
+                rebind()
+            self._versions = versions
+        run.tracing = run.tracer.enabled
+        logger.debug("engine run start: mode=%s, tracing=%s", self.mode, run.tracing)
+        if profile_tiles or run.tracing or metrics is not None:
+            sinks = list(self._profiler.sinks)
+            if run.tracing:
+                sinks.append(self._trace_superstep)
+            if metrics is not None:
+                sinks.append(self._observe_superstep)
+            run.sinks = tuple(sinks)
+            run.tile_sinks = len(sinks) > 1
+        else:
+            # The profiler alone: steps add their scalars straight into it.
+            run.sinks = None
+            run.add = self._profiler.add
         try:
             with child_span("engine.run", mode=self.mode) as span:
                 for step in self._schedule:
@@ -198,7 +224,9 @@ class Engine:
             self._profiler = None
             self._metrics = None
             run.tracer = NULL_TRACER
-            run.sinks = ()
+            run.tracing = False
+            run.sinks = None
+            run.add = None
             self._running = False
 
     # ------------------------------------------------------------------
@@ -249,9 +277,8 @@ class Engine:
         run = self._run
 
         def repeat_while_true() -> None:
-            tracer = run.tracer
-            tracing = tracer.enabled
-            if tracing:
+            tracer = run.tracer if run.tracing else None
+            if tracer is not None:
                 tracer.loop_enter(name)
             iterations = 0
             while condition.data.item(0) != 0:
@@ -261,11 +288,11 @@ class Engine:
                         f"RepeatWhileTrue on {name!r} "
                         f"exceeded {max_iterations} iterations"
                     )
-                if tracing:
+                if tracer is not None:
                     tracer.loop_iter(name, iterations)
                 for step in body:
                     step()
-            if tracing:
+            if tracer is not None:
                 tracer.loop_exit(name, iterations)
 
         return repeat_while_true
@@ -281,13 +308,15 @@ class Engine:
 
         def branch() -> None:
             if condition.data.item(0) != 0:
-                taken, steps = "then", then_steps
+                if run.tracing:
+                    run.tracer.branch(name, "then")
+                for step in then_steps:
+                    step()
             else:
-                taken, steps = "else", else_steps
-            if run.tracer.enabled:
-                run.tracer.branch(name, taken)
-            for step in steps:
-                step()
+                if run.tracing:
+                    run.tracer.branch(name, "else")
+                for step in else_steps:
+                    step()
 
         return branch
 
@@ -308,12 +337,17 @@ class Engine:
             inter,
             exchange_by_tensor={destination.name: total} if total else None,
         )
+        scalars = charge[:7]
         run = self._run
 
         def copy_step() -> None:
             destination.flat()[:] = source.flat()
             destination.writes += 1
-            for sink in run.sinks:
+            sinks = run.sinks
+            if sinks is None:
+                run.add(*scalars)
+                return
+            for sink in sinks:
                 sink(charge)
 
         return copy_step
@@ -322,30 +356,69 @@ class Engine:
         plan = self.compiled.plan_for(compute_set)
         spec = self.compiled.spec
         cost = self.compiled.cost_context
-        if plan.batched and self.mode == "batched":
-            run_vertices = self._bind_batch(plan)
-        else:
-            run_vertices = self._bind_per_vertex(plan)
         name = compute_set.name
+        codelet_name = plan.codelet.name if plan.batched else "(mixed)"
+        views = None
+        if not (plan.batched and self.mode == "batched"):
+            kernel = self._bind_per_vertex(plan)
+        else:
+            kernel = plan.codelet.bind(
+                plan.param_arrays,
+                cost,
+                {field: fp.tensor for field, fp in plan.field_plans.items()},
+            )
+            if not plan.aliases_memory:
+                kernel = _gathering(kernel, plan)
+            else:
+                # The views stay valid until a buffer is rebound, which
+                # the engine checks at each run start.
+                def rebind() -> None:
+                    nonlocal views
+                    views, _ = plan.batch_views()
+
+                self._rebinders.append(rebind)
+        shape = (len(compute_set.vertices),)
         overhead = cost.vertex_overhead_cycles
+        slowest_slot = plan.slowest_slot(overhead)
         clock_hz = spec.clock_hz
         sync_seconds, exchange_seconds = fixed_charges(
             spec, plan.exchange_bytes, plan.inter_ipu_bytes
         )
         exchange_bytes, inter_ipu_bytes = plan.exchange_bytes, plan.inter_ipu_bytes
         tile_ids, by_tensor, ipus = plan.tile_ids, plan.exchange_by_tensor, plan.ipus
-        slowest_slot = plan.tile_compute_cycles
         tile_totals = plan.tile_cycle_totals
         written = plan.written
         run = self._run
 
         def execute() -> None:
-            cycles = run_vertices() + overhead
+            try:
+                cycles = np.asarray(kernel(views), dtype=np.float64)
+            except ExecutionError:
+                raise
+            except Exception as exc:
+                raise _codelet_failure(codelet_name, name, exc) from exc
+            if cycles.shape != shape:
+                raise ExecutionError(
+                    f"codelet {codelet_name} returned cycle array of "
+                    f"shape {cycles.shape}, expected {shape}"
+                )
             # After the compute phase, so a kernel never keys data derived
             # from a tensor on a count that predates its own write.
             for tensor in written:
                 tensor.writes += 1
-            compute_cycles = slowest_slot(cycles, spec)
+            compute_cycles = slowest_slot(cycles)
+            sinks = run.sinks
+            if sinks is None:
+                run.add(
+                    name,
+                    compute_cycles,
+                    compute_cycles / clock_hz,
+                    sync_seconds,
+                    exchange_seconds,
+                    exchange_bytes,
+                    inter_ipu_bytes,
+                )
+                return
             charge = SuperstepCharge(
                 name,
                 compute_cycles,
@@ -355,11 +428,11 @@ class Engine:
                 exchange_bytes,
                 inter_ipu_bytes,
                 tile_ids,
-                tile_totals(cycles) if run.tile_sinks else None,
+                tile_totals(cycles + overhead) if run.tile_sinks else None,
                 by_tensor,
                 ipus,
             )
-            for sink in run.sinks:
+            for sink in sinks:
                 sink(charge)
 
         return execute
@@ -368,39 +441,12 @@ class Engine:
     # Compute phase
     # ------------------------------------------------------------------
 
-    def _bind_batch(self, plan: ExecutionPlan) -> Callable[[], np.ndarray]:
-        """One ``compute_all`` over every vertex of a uniform compute set."""
-        codelet = plan.codelet
-        name = plan.compute_set.name
-        kernel = codelet.bind(
-            plan.param_arrays,
-            self.compiled.cost_context,
-            {field: field_plan.tensor for field, field_plan in plan.field_plans.items()},
-        )
-        shape = (len(plan.compute_set.vertices),)
-        batch_views = plan.batch_views
-        field_plans = tuple(plan.field_plans.items())
-
-        def run_batch() -> np.ndarray:
-            views, needs_scatter = batch_views()
-            cycles = _invoke_codelet(kernel, views, codelet, name)
-            if cycles.shape != shape:
-                raise ExecutionError(
-                    f"codelet {codelet.name} returned cycle array of "
-                    f"shape {cycles.shape}, expected {shape}"
-                )
-            if needs_scatter:
-                for field, field_plan in field_plans:
-                    field_plan.scatter(views[field])
-            return cycles
-
-        return run_batch
-
-    def _bind_per_vertex(self, plan: ExecutionPlan) -> Callable[[], np.ndarray]:
+    def _bind_per_vertex(self, plan: ExecutionPlan) -> Callable[[None], np.ndarray]:
         """Fallback: run each vertex as its own batch of one.
 
         Used for compute sets with mixed codelets or non-uniform regions,
-        and for the whole graph in ``per_tile`` mode.
+        and for the whole graph in ``per_tile`` mode.  The returned kernel
+        takes no views (``None``): it slices each vertex's regions itself.
         """
         cost = self.compiled.cost_context
         name = plan.compute_set.name
@@ -423,7 +469,7 @@ class Engine:
             for vertex in plan.compute_set.vertices
         )
 
-        def run_per_vertex() -> np.ndarray:
+        def run_per_vertex(unused: None) -> np.ndarray:
             cycles = np.zeros(len(vertices), dtype=np.float64)
             for index, (codelet, kernel, connections) in enumerate(vertices):
                 views = {
@@ -494,16 +540,35 @@ class Engine:
 class _RunState:
     """What bound steps read of the in-flight run (set by :meth:`Engine.run`).
 
-    ``sinks`` are the run's superstep subscribers; ``tile_sinks`` tells
-    whether any of them reads per-tile cycle totals.
+    ``sinks`` are the run's superstep subscribers, or ``None`` when the
+    profiler is the only one: then steps call ``add``, the profiler's
+    accumulation routine, with the superstep's scalars instead of building
+    a record.  ``tile_sinks`` tells whether any subscriber reads per-tile
+    cycle totals; ``tracing`` caches ``tracer.enabled``.
     """
 
-    __slots__ = ("tracer", "sinks", "tile_sinks")
+    __slots__ = ("tracer", "tracing", "sinks", "tile_sinks", "add")
 
     def __init__(self) -> None:
         self.tracer: NullTracer = NULL_TRACER
-        self.sinks: tuple[Callable[[SuperstepCharge], None], ...] = ()
+        self.tracing = False
+        self.sinks: tuple[Callable[[SuperstepCharge], None], ...] | None = None
         self.tile_sinks = False
+        self.add: Callable[..., None] | None = None
+
+
+def _gathering(kernel, plan: ExecutionPlan) -> Callable[[None], np.ndarray]:
+    """``kernel`` on gathered copies of the views, scattered back after."""
+    field_plans = tuple(plan.field_plans.items())
+
+    def gathered(unused: None) -> np.ndarray:
+        views, _ = plan.batch_views()
+        cycles = kernel(views)
+        for field, field_plan in field_plans:
+            field_plan.scatter(views[field])
+        return cycles
+
+    return gathered
 
 
 def _invoke_codelet(kernel, views, codelet, compute_set_name: str):
@@ -513,17 +578,24 @@ def _invoke_codelet(kernel, views, codelet, compute_set_name: str):
     cycle array) would otherwise surface as a bare exception with no
     indication of *which* superstep died; every failure here becomes an
     :class:`ExecutionError` naming the compute set, with the original
-    exception chained as the cause.
+    exception chained as the cause.  The engine's execute step inlines the
+    same wrapping.
     """
     try:
         return np.asarray(kernel(views), dtype=np.float64)
     except ExecutionError:
         raise
     except Exception as exc:
-        raise ExecutionError(
-            f"codelet {codelet.name} failed in compute set "
-            f"{compute_set_name!r}: {exc}"
-        ) from exc
+        raise _codelet_failure(codelet.name, compute_set_name, exc) from exc
+
+
+def _codelet_failure(
+    codelet_name: str, compute_set_name: str, exc: Exception
+) -> ExecutionError:
+    return ExecutionError(
+        f"codelet {codelet_name} failed in compute set "
+        f"{compute_set_name!r}: {exc}"
+    )
 
 
 def _tile_stats(tile_cycles: np.ndarray) -> tuple[float, float, float]:

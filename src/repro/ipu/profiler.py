@@ -1,10 +1,14 @@
 """Execution profiling: per-compute-set and per-tile BSP phase accounting.
 
-The engine reports, for every superstep, one :class:`SuperstepCharge`
-holding the three BSP phase costs the paper reasons about (§III-A): compute
-(slowest tile), synchronization (fixed), and exchange (bytes over the
-fabric).  The profiler aggregates them by compute set name, which is how
-HunIPU's per-step costs (Step 1 ... Step 6) surface in benchmark output.
+The engine reports, for every superstep, the three BSP phase costs the
+paper reasons about (§III-A): compute (slowest tile), synchronization
+(fixed), and exchange (bytes over the fabric).  The profiler aggregates
+them by compute set name, which is how HunIPU's per-step costs (Step 1 ...
+Step 6) surface in benchmark output.  :meth:`Profiler.add` is the one
+accumulation routine: the engine calls it directly when the profiler is a
+run's only subscriber, and builds a :class:`SuperstepCharge` record only
+for opt-in subscribers, whose profiler entry (:meth:`Profiler.record`)
+passes the record's scalars to the same routine.
 
 Two profiling depths exist, selected when the engine runs:
 
@@ -73,9 +77,11 @@ class StepRecord:
 class SuperstepCharge(typing.NamedTuple):
     """One executed superstep: the record every superstep sink consumes.
 
-    The engine builds exactly one per superstep and hands it to each
-    subscriber in turn (the profiler always; the per-tile accumulator, the
-    tracer and the metrics registry when enabled).  Sync and exchange
+    When an opt-in subscriber (the per-tile accumulator, a tracer or a
+    metrics registry) is present, the engine builds exactly one per
+    superstep and hands it to each subscriber in turn, the profiler
+    first; without one it builds none.  Its first seven fields are the
+    arguments of :meth:`Profiler.add`, in order.  Sync and exchange
     seconds come from :func:`fixed_charges`, priced once per compute set or
     copy when the engine binds its schedule; only the compute phase varies
     at run time.
@@ -652,17 +658,17 @@ class ProfileReport:
 class Profiler:
     """Mutable accumulator of a run's superstep records.
 
-    :meth:`record` is the engine's always-on subscriber: it keeps the
-    run-total scalars and one :class:`StepRecord` per compute set name.
-    ``tiles=True`` (deep mode) adds the per-tile accumulator to
-    :attr:`sinks`.
+    :meth:`add` keeps the run-total scalars and one :class:`StepRecord`
+    per compute set name; :meth:`record`, the subscriber form, feeds it a
+    record's scalars.  ``tiles=True`` (deep mode) adds the per-tile
+    accumulator to :attr:`sinks`.
 
-    Both depths run :meth:`record` unchanged, so the totals and records of
-    a report are bit-identical across depths; deep mode only adds per-tile
-    attribution.  Exchange seconds are summed per superstep from each
-    record's plan-time charge: the cost model is not linear in bytes
-    (overlapping transfers + a setup constant that vanishes for empty
-    exchanges), so no run total can stand in.
+    Every depth and both engine paths run :meth:`add` unchanged, so the
+    totals and records of a report are bit-identical across them; deep
+    mode only adds per-tile attribution.  Exchange seconds are summed per
+    superstep from each record's plan-time charge: the cost model is not
+    linear in bytes (overlapping transfers + a setup constant that vanishes
+    for empty exchanges), so no run total can stand in.
     """
 
     def __init__(self, spec: IPUSpec, *, tiles: bool = False) -> None:
@@ -704,33 +710,49 @@ class Profiler:
         return (self.record, self._tiles.record)
 
     def record(self, charge: SuperstepCharge) -> None:
-        """Accumulate one superstep record (the engine's always-on sink)."""
-        compute_cycles = charge.compute_cycles
+        """Accumulate one superstep record (the always-on subscriber)."""
+        self.add(*charge[:7])
+
+    def add(
+        self,
+        name: str,
+        compute_cycles: float,
+        compute_seconds: float,
+        sync_seconds: float,
+        exchange_seconds: float,
+        exchange_bytes: int,
+        inter_ipu_bytes: int,
+    ) -> None:
+        """Accumulate one superstep's scalars: the one accounting routine.
+
+        The arguments are the first seven fields of a
+        :class:`SuperstepCharge`, in order.  :meth:`record` and
+        :meth:`record_superstep` reach this through the record; the engine
+        calls it directly when the profiler is a run's only subscriber, so
+        the record is built only for opt-in subscribers.
+        """
         self._supersteps += 1
         self._agg_compute_cycles += compute_cycles
-        record = self._records.get(charge.name)
+        record = self._records.get(name)
         if record is None:
-            previous = self._reported.get(charge.name)
-            record = self._records[charge.name] = (
-                StepRecord(charge.name)
+            previous = self._reported.get(name)
+            record = self._records[name] = (
+                StepRecord(name)
                 if previous is None
                 else dataclasses.replace(previous)
             )
         record.executions += 1
-        record.compute_seconds += charge.compute_seconds
-        record.sync_seconds += charge.sync_seconds
+        record.compute_seconds += compute_seconds
+        record.sync_seconds += sync_seconds
         record.compute_cycles += compute_cycles
         # Most supersteps move nothing.  An empty exchange charges exactly
         # 0.0 s (inter-IPU bytes are a subset of the exchange), and adding
         # zero to these non-negative sums is a bitwise no-op, so skipping
         # it changes no total.
-        exchange_bytes = charge.exchange_bytes
         if exchange_bytes:
-            exchange_seconds = charge.exchange_seconds
             self._agg_exchange_seconds += exchange_seconds
             record.exchange_seconds += exchange_seconds
             record.exchange_bytes += exchange_bytes
-            inter_ipu_bytes = charge.inter_ipu_bytes
             if inter_ipu_bytes > 0:
                 self._inter_syncs += 1
                 record.inter_ipu_bytes += inter_ipu_bytes
@@ -789,7 +811,7 @@ class Profiler:
                 self._inter_syncs * self._spec.inter_ipu_sync_extra_seconds()
             )
         # Hand the records over instead of copying them: after a report
-        # the profiler never mutates them again (see :meth:`record`).  The
+        # the profiler never mutates them again (see :meth:`add`).  The
         # union keeps first-execution order and the newest values.
         records = self._reported | self._records
         self._reported, self._records = records, {}

@@ -1231,7 +1231,7 @@ _SCHEMAS: dict[str, tuple[str, _Obj, Callable[[Mapping[str, Any]], None] | None]
     PERF_SCHEMA: ("perf", _Obj("meta", runs=_List(_Obj(
         "benchmark", "params",
         metrics=_Map(_NUMBER, nonempty=True),
-        context=_Obj("git_rev", "timestamp", "scale"),
+        context=_Obj("git_rev", "timestamp", "scale", calibration_s=_Opt(_NUMBER)),
     ))), None),
 }
 _PERFETTO = _Obj(traceEvents=_List(_Obj("name", "ph")))

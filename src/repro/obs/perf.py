@@ -22,6 +22,11 @@ change regresses beyond budget.  This module is both:
   exactly.  A deterministic metric drifting even slightly is a real
   modeled-cost change, never noise — that split is what makes the gate
   usable on shared CI runners.
+* :func:`calibrate` — the host-speed reference.  Each suite run times a
+  fixed interpreter-and-small-NumPy loop alongside its legs and keeps the
+  result in its context (``calibration_s``); the comparison states wall
+  and throughput metrics at the baseline's host speed, so a shared host
+  drifting between two runs does not read as a regression.
 
 The ``repro perf`` CLI (``record`` / ``compare`` / ``report``) fronts this
 module; ``docs/profiling.md`` documents the workflow and budget tuning.
@@ -35,8 +40,11 @@ import gc
 import json
 import math
 import pathlib
+import statistics
 import subprocess
 from typing import Any, Callable, Iterable, Mapping
+
+import numpy as np
 
 from repro.obs.export import (
     PERF_SCHEMA,
@@ -50,6 +58,7 @@ from repro.obs.timing import wall_timer
 __all__ = [
     "AlternatingTiming",
     "alternating_minimum",
+    "calibrate",
     "Budget",
     "DEFAULT_BUDGETS",
     "PerfStore",
@@ -106,6 +115,30 @@ def alternating_minimum(
         name: AlternatingTiming(tuple(rounds_list))
         for name, rounds_list in walls.items()
     }
+
+
+#: Operands and length of the calibration loop.
+_CAL_X = np.arange(64.0)
+_CAL_Y = np.ones(64)
+_CAL_ROUNDS = 300
+
+
+def calibrate() -> float:
+    """Wall seconds of one short, fixed calibration loop on this host.
+
+    The loop mixes interpreter work with small NumPy calls, the two costs
+    the suite's legs are made of, and touches nothing of the program under
+    test.  On a shared host its time follows the host's speed, which can
+    drift by more than half within a minute; scaling a leg by the ratio of
+    two runs' calibrations removes that drift, while a change to the
+    program still shows in full.  One call takes about a millisecond;
+    :func:`run_suite` keeps the median of the calls around its tasks.
+    """
+    with wall_timer() as timer:
+        acc = 0.0
+        for step in range(_CAL_ROUNDS):
+            acc += float(((_CAL_X + _CAL_Y) * 0.5).max()) + len({"step": step})
+    return timer.seconds
 
 
 # ----------------------------------------------------------------------
@@ -261,6 +294,9 @@ class PerfStore:
 # The built-in measurement suite
 # ----------------------------------------------------------------------
 
+#: Back-to-back runs of each task in one round of :func:`run_suite`.
+_REPEATS = 3
+
 #: Per-scale shapes of the built-in suite: single-solve sizes, the batch
 #: stream ``(size, count)`` and the cold-compile sizes.  Quick mirrors the
 #: bench grids' smoke shapes so CI runs in seconds.
@@ -283,7 +319,15 @@ def run_suite(
 ) -> list[dict[str, Any]]:
     """Measure the built-in suite; returns ``repro.perf/1`` run rows.
 
-    Every benchmark reports ``wall_seconds`` (alternating-round minimum).
+    Every benchmark reports ``wall_seconds``: the alternating-round
+    minimum, where each round runs a task :data:`_REPEATS` times back to
+    back and keeps the fastest, so one preempted run cannot fail a
+    one-round comparison.
+    A :func:`calibrate` call runs just before and just after every task of
+    every round, outside the task's timing; their median is the run's
+    ``context["calibration_s"]``, the host speed the comparison scales by
+    (on a busy 2-core host the median tracked the legs' drift better
+    than the minimum or the mean).
     Solve legs add ``device_seconds`` (modeled, deterministic),
     ``supersteps`` (exact) and the informational
     ``host_us_per_superstep`` (wall over supersteps); the batch benchmark adds
@@ -376,7 +420,22 @@ def run_suite(
 
         tasks[f"compile/n{size}"] = _compile_round
 
-    timings = alternating_minimum(tasks, rounds)
+    calibrate()  # a process's first calls run cold; keep none of them
+    calibrations: list[float] = []
+
+    def calibrated(task: Callable[[], float]) -> Callable[[], float]:
+        def run() -> float:
+            calibrations.append(calibrate())
+            seconds = min(task() for _ in range(_REPEATS))
+            calibrations.append(calibrate())
+            return seconds
+
+        return run
+
+    timings = alternating_minimum(
+        {name: calibrated(task) for name, task in tasks.items()}, rounds
+    )
+    context["calibration_s"] = statistics.median(calibrations)
 
     for size in shapes["solve_sizes"]:
         key = f"solve/n{size}"
@@ -497,6 +556,9 @@ class MetricComparison:
     ratio: float
     kind: str
     ok: bool
+    #: Factor applied to the fresh value to state it at the baseline's
+    #: host speed (1.0 when either run lacks a calibration).
+    host_scale: float = 1.0
 
     @property
     def status(self) -> str:
@@ -533,6 +595,11 @@ def compare_runs(
     ``skipped_metrics``); benchmarks with no baseline pass but are listed
     in ``missing_baselines`` so a silently empty store is visible.
 
+    When both runs carry ``context["calibration_s"]``, fresh wall and
+    throughput values are first stated at the baseline's host speed (wall
+    times by baseline over fresh calibration, throughput by its inverse);
+    a run without one compares unscaled.
+
     ``inject_slowdown`` multiplies the fresh noisy (wall/throughput)
     metrics by a synthetic factor — the gate's self-test: a compare that
     cannot fail is no gate, so CI injects 2x and requires a non-zero exit.
@@ -548,6 +615,7 @@ def compare_runs(
             missing.append(benchmark)
             continue
         baseline_metrics = baseline_run["metrics"]
+        host_scale = _host_scale(baseline_run, fresh)
         for metric, fresh_value in fresh["metrics"].items():
             budget = budgets.get(metric)
             if budget is None:
@@ -557,7 +625,10 @@ def compare_runs(
                 skipped.append(f"{benchmark}:{metric}")
                 continue
             fresh_value = float(fresh_value)
-            if inject_slowdown != 1.0 and budget.kind in ("wall", "throughput"):
+            scale = 1.0
+            if budget.kind in ("wall", "throughput"):
+                scale = host_scale if budget.kind == "wall" else 1.0 / host_scale
+                fresh_value *= scale
                 if budget.kind == "throughput":
                     fresh_value /= inject_slowdown
                 else:
@@ -573,6 +644,7 @@ def compare_runs(
                     ratio=ratio,
                     kind=budget.kind,
                     ok=ok,
+                    host_scale=scale,
                 )
             )
     return ComparisonReport(
@@ -582,16 +654,26 @@ def compare_runs(
     )
 
 
+def _host_scale(baseline: Mapping[str, Any], fresh: Mapping[str, Any]) -> float:
+    """Baseline over fresh calibration, or 1.0 if either run has none."""
+    base = baseline.get("context", {}).get("calibration_s")
+    now = fresh.get("context", {}).get("calibration_s")
+    if not base or not now:
+        return 1.0
+    return float(base) / float(now)
+
+
 def format_report(report: ComparisonReport) -> str:
     """Human-readable comparison table plus verdict line."""
     lines = [
         f"{'benchmark':<22} {'metric':<22} {'baseline':>14} {'fresh':>14} "
-        f"{'ratio':>8} {'kind':<11} status"
+        f"{'ratio':>8} {'host':>6} {'kind':<11} status"
     ]
     for row in report.comparisons:
         lines.append(
             f"{row.benchmark:<22} {row.metric:<22} {row.baseline:>14.6g} "
-            f"{row.fresh:>14.6g} {row.ratio:>8.3f} {row.kind:<11} {row.status}"
+            f"{row.fresh:>14.6g} {row.ratio:>8.3f} {row.host_scale:>6.3f} "
+            f"{row.kind:<11} {row.status}"
         )
     for benchmark in report.missing_baselines:
         lines.append(f"{benchmark:<22} (no baseline in store - recorded runs only)")

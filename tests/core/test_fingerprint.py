@@ -51,6 +51,8 @@ from repro.ipu.codelets import Codelet
 from repro.ipu.spec import IPUSpec
 from repro.lap.problem import LAPInstance
 from repro.lap.rectangular import padding_value
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import Tracer
 
 GOLDEN = pathlib.Path(__file__).parents[1] / "golden" / "solve_fingerprint.json"
 
@@ -59,8 +61,9 @@ SIZES = (8, 17, 64)
 #: Padding added on the ``padded`` axis.
 PAD = 3
 
-#: Solver settings per configuration; "warm" also re-solves a drifted copy
-#: and "padded" solves at ``n + PAD``.
+#: Solver settings per configuration; "warm" also re-solves a drifted copy,
+#: "padded" solves at ``n + PAD``, and "traced" runs every superstep through
+#: the subscriber path that builds a ``SuperstepCharge`` record.
 CONFIGS = {
     "batched": {},
     "per_tile": {"engine_mode": "per_tile"},
@@ -72,6 +75,7 @@ CONFIGS = {
     "toy_tiles": {"spec": IPUSpec.toy(num_tiles=4)},  # several rows per tile
     "warm": {},
     "padded": {},
+    "traced": {},  # plus a live Tracer and an explicit MetricsRegistry
 }
 
 #: Configurations that change only charges or placement: same answer.
@@ -130,6 +134,13 @@ def _matrices(kind: str, size: int) -> tuple[np.ndarray, np.ndarray]:
     rows = np.random.default_rng(seed + 1).choice(size, max(1, size // 8), False)
     drifted[rows] = drifted[rows][:, ::-1]
     return costs, drifted
+
+
+def _solver(config: str) -> HunIPUSolver:
+    options = dict(CONFIGS[config])
+    if config == "traced":
+        options.update(tracer=Tracer(), metrics=MetricsRegistry())
+    return HunIPUSolver(**options)
 
 
 def _solve(solver: HunIPUSolver, config: str, kind: str, size: int):
@@ -232,7 +243,7 @@ def solvers(shadow_check) -> dict[str, HunIPUSolver]:
     under the shadow check.  Sharing them pays each compile once and runs
     every engine again on new data, as repeated solving does.
     """
-    return {config: HunIPUSolver(**options) for config, options in CONFIGS.items()}
+    return {config: _solver(config) for config in CONFIGS}
 
 
 @pytest.fixture(scope="module")
@@ -249,8 +260,13 @@ def test_fingerprint_matches_recording(
     config, kind, size, golden, solvers, shadow_check
 ):
     before = shadow_check.copy()
+    tracer = solvers[config].tracer
+    traced_before = tracer.superstep_count() if tracer.enabled else 0
     result = _solve(solvers[config], config, kind, size)
     assert golden[f"{config}/{_case_id(kind, size)}"] == fingerprint(result)
+    if config == "traced":  # the tracer saw every superstep
+        traced = tracer.superstep_count() - traced_before
+        assert traced == result.stats["profile"].supersteps
     checked = shadow_check - before
     assert set(checked) == {cls.__name__ for cls in bound_kernel_classes()}
     if config == "padded":
@@ -272,6 +288,7 @@ def test_recordings_agree_across_configurations(kind, size, golden):
     }
     batched = rows["batched"]
     assert rows["deep"] == batched
+    assert rows["traced"] == batched
     if "per_tile" in rows:
         assert rows["per_tile_deep"] == rows["per_tile"]
     for config in SAME_ANSWER:
@@ -351,7 +368,7 @@ def test_shadow_check_catches_mutation(monkeypatch, target, attribute, mutate):
 
 def record(path: pathlib.Path = GOLDEN) -> None:
     """Write the fingerprint of every (configuration, case) pair."""
-    solvers = {config: HunIPUSolver(**options) for config, options in CONFIGS.items()}
+    solvers = {config: _solver(config) for config in CONFIGS}
     table = {
         f"{config}/{_case_id(kind, size)}": fingerprint(
             _solve(solvers[config], config, kind, size)

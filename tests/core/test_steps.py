@@ -20,7 +20,8 @@ from repro.core.steps.step4_prime_search import StatusArgmaxFinal, StatusArgmaxP
 from repro.ipu.codelets import CostContext
 from repro.ipu.engine import Engine
 from repro.ipu.graph import ComputeGraph
-from repro.ipu.programs import Copy, Repeat, Sequence
+from repro.ipu.oplib import Fill
+from repro.ipu.programs import Copy, Execute, Repeat, Sequence
 from repro.ipu.spec import IPUSpec
 
 
@@ -324,6 +325,37 @@ class TestStep4:
         self._open_state(state, n)
         _run(graph, program)
         assert list(state.sel.read_host()) == [1, 2, 1, -1]
+
+    @pytest.mark.parametrize(
+        "written,start,stop,want",
+        [
+            # A star appears in row 2: its status drops from 1 to 0.
+            ("row_star", 2, 3, [0, 2, 1, 0]),
+            # Another writer clobbers tile 2's partial: the scan rewrites it.
+            ("step4/partials", 8, 12, [1, 2, 1, -1]),
+        ],
+        ids=["input-row-star", "output-partials"],
+    )
+    def test_cached_scan_sees_foreign_writes(self, written, start, stop, want):
+        # Between two runs of one bound scan neither compress nor the
+        # column covers change, so only the write counters of row_star and
+        # of the outputs tell the scan that its rows are stale.
+        n = 4
+        spec, plan, graph, state = _fresh(n)
+        step4 = build_step4(graph, state, plan)
+        tensor = next(t for t in graph.tensors if t.name == written)
+        clobber = graph.add_compute_set("clobber")
+        clobber.add_vertex(
+            Fill(), 0, {"data": ComputeGraph.span(tensor, start, stop)},
+            params={"value": 0 if written == "row_star" else 5},
+        )
+        slack = np.ones((n, n))
+        slack[2, 1] = 0.0
+        state.initialize_host(slack)
+        _run(graph, build_compress(graph, state, plan))
+        self._open_state(state, n)
+        _run(graph, Repeat(2, Sequence(step4, Execute(clobber))))
+        assert list(state.sel.read_host()) == want
 
     @settings(max_examples=100, deadline=None)
     @given(
