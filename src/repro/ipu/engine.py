@@ -22,9 +22,9 @@ metrics registry), and then goes to each subscriber in turn; the path is
 chosen from the subscribers alone, once per run.  Every run profiles per
 compute set (:class:`~repro.ipu.profiler.StepRecord`);
 ``profile_tiles=True`` adds per-tile attribution.  A compute set whose
-views all alias tensor memory binds them once; a run re-gathers them only
-after a buffer rebind (:attr:`~repro.ipu.tensor.Tensor.version`).  Each
-step also bumps the content write counter
+views all alias tensor memory binds them at the first run and re-gathers
+them only after a buffer rebind (:attr:`~repro.ipu.tensor.Tensor.version`).
+Each step also bumps the content write counter
 (:attr:`~repro.ipu.tensor.Tensor.writes`) of every tensor it writes, and a
 run's start bumps all of them, so bound kernels can key host-side caches on
 those counters (:meth:`~repro.ipu.codelets.Codelet.bind`).
