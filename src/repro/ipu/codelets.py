@@ -164,8 +164,7 @@ class Codelet(abc.ABC):
         ----------
         views:
             For each field, a ``(num_vertices, region_length)`` array whose
-            row *v* aliases (or will be scattered back to) vertex *v*'s
-            connected region.  ``out``/``inout`` rows must be written in
+            row *v* aliases vertex *v*'s connected region.  ``out``/``inout`` rows must be written in
             place.
         params:
             For each vertex parameter, a ``(num_vertices,)`` array.

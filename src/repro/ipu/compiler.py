@@ -13,17 +13,17 @@ matter for algorithm design:
   because a connected interval lives on another tile) is precomputed.
 
 It also builds an :class:`ExecutionPlan` per compute set.  When a compute
-set is *uniform* — a single codelet, equal-length regions per field — the
-plan exposes zero-copy ``(num_vertices, region)`` views (or a gather/scatter
-fallback), which is what lets the engine run 1472 vertices as one numpy
-call.
+set is *uniform* — a single codelet, and per field one tensor whose
+equal-length regions are back-to-back in vertex order or one shared
+broadcast region — the plan exposes zero-copy ``(num_vertices, region)``
+views, which is what lets the engine run 1472 vertices as one numpy call.
+Any other compute set runs vertex by vertex.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import logging
-import operator
 from typing import TYPE_CHECKING, Callable, Literal
 
 import numpy as np
@@ -44,83 +44,35 @@ __all__ = ["FieldPlan", "ExecutionPlan", "CompiledGraph", "compile_graph"]
 
 logger = logging.getLogger(__name__)
 
-_VERSION = operator.attrgetter("version")
-
 #: Accepted values of ``compile_graph``'s / ``Engine``'s ``check`` argument.
 CHECK_MODES = ("off", "warn", "strict")
 
 
 @dataclasses.dataclass
 class FieldPlan:
-    """How the engine materializes one codelet field for a whole batch.
+    """How the engine views one codelet field for a whole batch.
 
-    ``contiguous`` fields alias tensor memory directly (regions are equal
-    length and back-to-back in vertex order) — zero copy.  Non-contiguous
-    uniform fields are gathered into a scratch array before compute and
-    scattered back afterwards when written.
+    The field's regions are equal length and either back-to-back in vertex
+    order or, for a read-only field, one region every vertex shares
+    (``broadcast``).  Either way the batch is a view of tensor memory:
+    zero copy, and valid for the tensor's lifetime.
     """
 
     tensor: Tensor
     starts: np.ndarray  # (num_vertices,) region starts
     length: int
-    direction: str
-    contiguous: bool
     broadcast: bool = False
-    _cached_view: np.ndarray | None = dataclasses.field(
-        default=None, repr=False, compare=False
-    )
-    _cached_version: int = dataclasses.field(
-        default=-1, repr=False, compare=False
-    )
-
-    @property
-    def aliases_memory(self) -> bool:
-        """True when :meth:`gather` returns a view (no copy, no scatter)."""
-        return self.contiguous or self.broadcast
 
     def gather(self) -> np.ndarray:
-        """Materialize the ``(num_vertices, length)`` batch view.
-
-        Aliasing views (contiguous/broadcast) are built once and cached,
-        keyed on :attr:`Tensor.version`: in-place writes keep the view
-        valid, but rebinding the tensor's buffer to a new array bumps the
-        version and forces a rebuild — a stale view would otherwise keep
-        reading (and writing) the orphaned old buffer.
-        """
-        if (
-            self._cached_view is not None
-            and self._cached_version == self.tensor.version
-        ):
-            return self._cached_view
-        view = self._build_view()
-        if self.aliases_memory:
-            self._cached_view = view
-            self._cached_version = self.tensor.version
-        return view
-
-    def _build_view(self) -> np.ndarray:
+        """The ``(num_vertices, length)`` batch view of tensor memory."""
         flat = self.tensor.flat()
+        base = int(self.starts[0])
+        count = len(self.starts)
         if self.broadcast:
-            base = int(self.starts[0])
             return np.broadcast_to(
-                flat[base : base + self.length], (len(self.starts), self.length)
+                flat[base : base + self.length], (count, self.length)
             )
-        if self.contiguous:
-            base = int(self.starts[0])
-            count = len(self.starts)
-            return flat[base : base + count * self.length].reshape(
-                count, self.length
-            )
-        rows = [flat[start : start + self.length] for start in self.starts]
-        return np.stack(rows)
-
-    def scatter(self, batch: np.ndarray) -> None:
-        """Write a gathered batch back (no-op for aliasing views)."""
-        if self.contiguous or self.broadcast or self.direction == "in":
-            return
-        flat = self.tensor.flat()
-        for row, start in enumerate(self.starts):
-            flat[start : start + self.length] = batch[row]
+        return flat[base : base + count * self.length].reshape(count, self.length)
 
 
 @dataclasses.dataclass
@@ -128,9 +80,9 @@ class ExecutionPlan:
     """Precomputed schedule for one compute set.
 
     ``batched`` plans run every vertex in a single :meth:`Codelet.compute_all`
-    call; non-uniform compute sets fall back to a per-vertex loop.  Exchange
-    bytes and the vertex->tile assignment are compile-time constants either
-    way.
+    call over views of tensor memory; any other compute set falls back to a
+    per-vertex loop.  Exchange bytes and the vertex->tile assignment are
+    compile-time constants either way.
     """
 
     compute_set: ComputeSet
@@ -168,46 +120,21 @@ class ExecutionPlan:
         #: Sorted unique physical tile ids, aligned with
         #: :meth:`tile_cycle_totals` output (deep profiler attribution).
         self.tile_ids = tiles_in_use
-        self._view_tensors = tuple(
-            field_plan.tensor for field_plan in self.field_plans.values()
-        )
-        self._needs_scatter = any(
-            not field_plan.aliases_memory
-            for field_plan in self.field_plans.values()
-        )
-        self._cached_batch: dict[str, np.ndarray] = {}
-        self._cached_versions: tuple[int, ...] | None = None
 
     @property
     def batched(self) -> bool:
         return self.codelet is not None
 
-    @property
-    def aliases_memory(self) -> bool:
-        """True when every field's batch view aliases tensor memory."""
-        return not self._needs_scatter
+    def batch_views(self) -> dict[str, np.ndarray]:
+        """Every field's batch view, keyed by field name.
 
-    def batch_views(self) -> tuple[dict[str, np.ndarray], bool]:
-        """Gather all field views; second element tells whether any field
-        needs a scatter-back after compute (i.e. was copied, not aliased).
-
-        When every field aliases tensor memory the whole dict is cached,
-        keyed on the participating tensors' buffer versions — rebinding any
-        tensor's buffer (:attr:`repro.ipu.tensor.Tensor.version`) drops the
-        cache so repeated executions never read a stale view.  Steady-state
-        runs (no rebinds) still cost no allocation.
+        Tensor buffers are fixed for a tensor's lifetime, so the engine
+        builds these once and reuses them on every execution.
         """
-        versions = tuple(map(_VERSION, self._view_tensors))
-        if versions == self._cached_versions:
-            return self._cached_batch, False
-        views = {
+        return {
             field: field_plan.gather()
             for field, field_plan in self.field_plans.items()
         }
-        if not self._needs_scatter:
-            self._cached_batch = views
-            self._cached_versions = versions
-        return views, self._needs_scatter
 
     def slowest_slot(self, overhead: float) -> Callable[[np.ndarray], float]:
         """The BSP compute-phase charge as a function of vertex cycles.
@@ -503,20 +430,20 @@ def _plan_field(
         return None
     length = lengths.pop()
     starts = np.array([connection.start for connection in connections], dtype=np.int64)
-    contiguous = bool(
-        np.all(starts == starts[0] + np.arange(len(starts)) * length)
-    )
     broadcast = (
         direction == "in"
         and len(starts) > 1
         and bool(np.all(starts == starts[0]))
     )
+    contiguous = bool(
+        np.all(starts == starts[0] + np.arange(len(starts)) * length)
+    )
+    if not (broadcast or contiguous):
+        return None
     return FieldPlan(
         tensor=connections[0].tensor,
         starts=starts,
         length=length,
-        direction=direction,
-        contiguous=contiguous and not broadcast,
         broadcast=broadcast,
     )
 

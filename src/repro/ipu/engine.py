@@ -13,19 +13,16 @@ closures, one per :class:`Execute` or :class:`Copy`, with each control-flow
 node holding its body's flattened tuple.  Every bound step carries its
 plan, codelet, params and the superstep's sync and exchange seconds
 (:func:`~repro.ipu.profiler.fixed_charges`), so a run does no tree walk
-and no per-superstep cost-model work beyond the compute phase.  When the
-profiler is a run's only subscriber, each step adds its scalars straight
-into it (:meth:`~repro.ipu.profiler.Profiler.add`).  The
-:class:`~repro.ipu.profiler.SuperstepCharge` record is built only when an
-opt-in subscriber is present (the per-tile accumulator, a tracer or a
-metrics registry), and then goes to each subscriber in turn; the path is
-chosen from the subscribers alone, once per run.  Every run profiles per
-compute set (:class:`~repro.ipu.profiler.StepRecord`);
-``profile_tiles=True`` adds per-tile attribution.  A compute set whose
-views all alias tensor memory binds them at the first run and re-gathers
-them only after a buffer rebind (:attr:`~repro.ipu.tensor.Tensor.version`).
-Each step also bumps the content write counter
-(:attr:`~repro.ipu.tensor.Tensor.writes`) of every tensor it writes, and a
+and no per-superstep cost-model work beyond the compute phase.  Every step
+charges its superstep the same way, by adding its scalars into the
+profiler (:meth:`~repro.ipu.profiler.Profiler.add`), which keeps one
+:class:`~repro.ipu.profiler.StepRecord` per compute set.  A step builds a
+:class:`~repro.ipu.profiler.SuperstepCharge` record only when the run has
+observers (the per-tile accumulator of ``profile_tiles=True``, a tracer or
+a metrics registry), and hands it to each in turn.  Tensor buffers are
+fixed for a tensor's lifetime, so a batched compute set binds its views
+once, with its schedule step.  Each step also bumps the content write
+counter (:attr:`~repro.ipu.tensor.Tensor.writes`) of every tensor it writes, and a
 run's start bumps all of them, so bound kernels can key host-side caches on
 those counters (:meth:`~repro.ipu.codelets.Codelet.bind`).
 
@@ -46,7 +43,6 @@ the vertices batched with it (the Step 2 layout defect on the ROADMAP).
 from __future__ import annotations
 
 import logging
-import operator
 from typing import Callable, Literal
 
 import numpy as np
@@ -73,8 +69,6 @@ from repro.ipu.tensor import Tensor
 __all__ = ["Engine"]
 
 logger = logging.getLogger(__name__)
-
-_VERSION = operator.attrgetter("version")
 
 #: A bound schedule step: runs one superstep or one control-flow node.
 Step = Callable[[], None]
@@ -127,13 +121,7 @@ class Engine:
         self._metrics: MetricsRegistry | None = None
         self._run = _RunState()
         self._running = False
-        #: Re-gather each aliasing plan's views; run when a buffer rebind
-        #: changed the graph's buffer versions (checked at each run start).
-        self._rebinders: list[Callable[[], None]] = []
         self._schedule = self._bind(self.compiled.program)
-        #: Buffer versions the views were bound at; ``None`` binds them at
-        #: the first run, so an engine that never runs never gathers.
-        self._versions: tuple[int, ...] | None = None
 
     # ------------------------------------------------------------------
     # Running
@@ -182,29 +170,17 @@ class Engine:
             self._profiler = self._owned_profiler
         self._profiler.reset()
         # Host writes happen between runs: no derived data survives one.
-        tensors = self.compiled.graph.tensors
-        for tensor in tensors:
+        for tensor in self.compiled.graph.tensors:
             tensor.writes += 1
-        versions = tuple(map(_VERSION, tensors))
-        if versions != self._versions:
-            # First run, or a buffer was rebound since the views were bound.
-            for rebind in self._rebinders:
-                rebind()
-            self._versions = versions
         run.tracing = run.tracer.enabled
         logger.debug("engine run start: mode=%s, tracing=%s", self.mode, run.tracing)
-        if profile_tiles or run.tracing or metrics is not None:
-            sinks = list(self._profiler.sinks)
-            if run.tracing:
-                sinks.append(self._trace_superstep)
-            if metrics is not None:
-                sinks.append(self._observe_superstep)
-            run.sinks = tuple(sinks)
-            run.tile_sinks = len(sinks) > 1
-        else:
-            # The profiler alone: steps add their scalars straight into it.
-            run.sinks = None
-            run.add = self._profiler.add
+        observers = list(self._profiler.observers)
+        if run.tracing:
+            observers.append(self._trace_superstep)
+        if metrics is not None:
+            observers.append(self._observe_superstep)
+        run.observers = tuple(observers)
+        run.add = self._profiler.add
         try:
             with child_span("engine.run", mode=self.mode) as span:
                 for step in self._schedule:
@@ -225,7 +201,7 @@ class Engine:
             self._metrics = None
             run.tracer = NULL_TRACER
             run.tracing = False
-            run.sinks = None
+            run.observers = ()
             run.add = None
             self._running = False
 
@@ -343,12 +319,9 @@ class Engine:
         def copy_step() -> None:
             destination.flat()[:] = source.flat()
             destination.writes += 1
-            sinks = run.sinks
-            if sinks is None:
-                run.add(*scalars)
-                return
-            for sink in sinks:
-                sink(charge)
+            run.add(*scalars)
+            for observer in run.observers:
+                observer(charge)
 
         return copy_step
 
@@ -357,26 +330,18 @@ class Engine:
         spec = self.compiled.spec
         cost = self.compiled.cost_context
         name = compute_set.name
-        codelet_name = plan.codelet.name if plan.batched else "(mixed)"
-        views = None
-        if not (plan.batched and self.mode == "batched"):
-            kernel = self._bind_per_vertex(plan)
-        else:
+        codelets = {vertex.codelet.name for vertex in compute_set.vertices}
+        codelet_name = codelets.pop() if len(codelets) == 1 else "(mixed)"
+        if plan.batched and self.mode == "batched":
             kernel = plan.codelet.bind(
                 plan.param_arrays,
                 cost,
                 {field: fp.tensor for field, fp in plan.field_plans.items()},
             )
-            if not plan.aliases_memory:
-                kernel = _gathering(kernel, plan)
-            else:
-                # The views stay valid until a buffer is rebound, which
-                # the engine checks at each run start.
-                def rebind() -> None:
-                    nonlocal views
-                    views, _ = plan.batch_views()
-
-                self._rebinders.append(rebind)
+            views = plan.batch_views()
+        else:
+            kernel = self._bind_per_vertex(plan)
+            views = None
         shape = (len(compute_set.vertices),)
         overhead = cost.vertex_overhead_cycles
         slowest_slot = plan.slowest_slot(overhead)
@@ -407,33 +372,34 @@ class Engine:
             for tensor in written:
                 tensor.writes += 1
             compute_cycles = slowest_slot(cycles)
-            sinks = run.sinks
-            if sinks is None:
-                run.add(
-                    name,
-                    compute_cycles,
-                    compute_cycles / clock_hz,
-                    sync_seconds,
-                    exchange_seconds,
-                    exchange_bytes,
-                    inter_ipu_bytes,
-                )
+            compute_seconds = compute_cycles / clock_hz
+            run.add(
+                name,
+                compute_cycles,
+                compute_seconds,
+                sync_seconds,
+                exchange_seconds,
+                exchange_bytes,
+                inter_ipu_bytes,
+            )
+            observers = run.observers
+            if not observers:
                 return
             charge = SuperstepCharge(
                 name,
                 compute_cycles,
-                compute_cycles / clock_hz,
+                compute_seconds,
                 sync_seconds,
                 exchange_seconds,
                 exchange_bytes,
                 inter_ipu_bytes,
                 tile_ids,
-                tile_totals(cycles + overhead) if run.tile_sinks else None,
+                tile_totals(cycles + overhead),
                 by_tensor,
                 ipus,
             )
-            for sink in sinks:
-                sink(charge)
+            for observer in observers:
+                observer(charge)
 
         return execute
 
@@ -444,9 +410,10 @@ class Engine:
     def _bind_per_vertex(self, plan: ExecutionPlan) -> Callable[[None], np.ndarray]:
         """Fallback: run each vertex as its own batch of one.
 
-        Used for compute sets with mixed codelets or non-uniform regions,
-        and for the whole graph in ``per_tile`` mode.  The returned kernel
-        takes no views (``None``): it slices each vertex's regions itself.
+        Used for compute sets with mixed codelets or with regions that are
+        not one view of tensor memory, and for the whole graph in
+        ``per_tile`` mode.  The returned kernel takes no views (``None``):
+        it slices each vertex's regions itself.
         """
         cost = self.compiled.cost_context
         name = plan.compute_set.name
@@ -488,7 +455,7 @@ class Engine:
         return run_per_vertex
 
     # ------------------------------------------------------------------
-    # Optional superstep sinks
+    # Superstep observers
     # ------------------------------------------------------------------
 
     def _trace_superstep(self, charge: SuperstepCharge) -> None:
@@ -540,35 +507,19 @@ class Engine:
 class _RunState:
     """What bound steps read of the in-flight run (set by :meth:`Engine.run`).
 
-    ``sinks`` are the run's superstep subscribers, or ``None`` when the
-    profiler is the only one: then steps call ``add``, the profiler's
-    accumulation routine, with the superstep's scalars instead of building
-    a record.  ``tile_sinks`` tells whether any subscriber reads per-tile
-    cycle totals; ``tracing`` caches ``tracer.enabled``.
+    ``add`` is the profiler's accumulation routine, which every step calls
+    with its superstep's scalars.  ``observers`` receive a
+    :class:`SuperstepCharge` record of every superstep, built only when
+    there is one; ``tracing`` caches ``tracer.enabled``.
     """
 
-    __slots__ = ("tracer", "tracing", "sinks", "tile_sinks", "add")
+    __slots__ = ("tracer", "tracing", "observers", "add")
 
     def __init__(self) -> None:
         self.tracer: NullTracer = NULL_TRACER
         self.tracing = False
-        self.sinks: tuple[Callable[[SuperstepCharge], None], ...] | None = None
-        self.tile_sinks = False
+        self.observers: tuple[Callable[[SuperstepCharge], None], ...] = ()
         self.add: Callable[..., None] | None = None
-
-
-def _gathering(kernel, plan: ExecutionPlan) -> Callable[[None], np.ndarray]:
-    """``kernel`` on gathered copies of the views, scattered back after."""
-    field_plans = tuple(plan.field_plans.items())
-
-    def gathered(unused: None) -> np.ndarray:
-        views, _ = plan.batch_views()
-        cycles = kernel(views)
-        for field, field_plan in field_plans:
-            field_plan.scatter(views[field])
-        return cycles
-
-    return gathered
 
 
 def _invoke_codelet(kernel, views, codelet, compute_set_name: str):

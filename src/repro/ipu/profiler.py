@@ -5,10 +5,9 @@ paper reasons about (§III-A): compute (slowest tile), synchronization
 (fixed), and exchange (bytes over the fabric).  The profiler aggregates
 them by compute set name, which is how HunIPU's per-step costs (Step 1 ...
 Step 6) surface in benchmark output.  :meth:`Profiler.add` is the one
-accumulation routine: the engine calls it directly when the profiler is a
-run's only subscriber, and builds a :class:`SuperstepCharge` record only
-for opt-in subscribers, whose profiler entry (:meth:`Profiler.record`)
-passes the record's scalars to the same routine.
+accumulation routine, and the engine calls it for every superstep.  A
+:class:`SuperstepCharge` record is built only for a run's observers: the
+per-tile accumulator, a tracer or a metrics registry.
 
 Two profiling depths exist, selected when the engine runs:
 
@@ -75,16 +74,15 @@ class StepRecord:
 
 
 class SuperstepCharge(typing.NamedTuple):
-    """One executed superstep: the record every superstep sink consumes.
+    """One executed superstep: the record every superstep observer consumes.
 
-    When an opt-in subscriber (the per-tile accumulator, a tracer or a
-    metrics registry) is present, the engine builds exactly one per
-    superstep and hands it to each subscriber in turn, the profiler
-    first; without one it builds none.  Its first seven fields are the
-    arguments of :meth:`Profiler.add`, in order.  Sync and exchange
-    seconds come from :func:`fixed_charges`, priced once per compute set or
-    copy when the engine binds its schedule; only the compute phase varies
-    at run time.
+    When a run has observers (the per-tile accumulator, a tracer or a
+    metrics registry), the engine builds exactly one per superstep, after
+    charging the profiler, and hands it to each observer in turn; without
+    one it builds none.  Its first seven fields are the arguments of
+    :meth:`Profiler.add`, in order.  Sync and exchange seconds come from
+    :func:`fixed_charges`, priced once per compute set or copy when the
+    engine binds its schedule; only the compute phase varies at run time.
     """
 
     name: str
@@ -98,8 +96,7 @@ class SuperstepCharge(typing.NamedTuple):
     inter_ipu_bytes: int = 0
     #: Compute supersteps only: the sorted physical tiles in use.
     tile_ids: np.ndarray | None = None
-    #: Per-tile cycle totals aligned with ``tile_ids``; computed only when a
-    #: subscriber needs them (deep profiling, tracing, metrics).
+    #: Per-tile cycle totals aligned with ``tile_ids`` (compute supersteps).
     tile_cycles: np.ndarray | None = None
     #: Static exchange bytes per tensor (values sum to ``exchange_bytes``).
     exchange_by_tensor: typing.Mapping[str, int] | None = None
@@ -659,15 +656,13 @@ class Profiler:
     """Mutable accumulator of a run's superstep records.
 
     :meth:`add` keeps the run-total scalars and one :class:`StepRecord`
-    per compute set name; :meth:`record`, the subscriber form, feeds it a
-    record's scalars.  ``tiles=True`` (deep mode) adds the per-tile
-    accumulator to :attr:`sinks`.
+    per compute set name.  ``tiles=True`` (deep mode) adds the per-tile
+    accumulator to :attr:`observers`.
 
-    Every depth and both engine paths run :meth:`add` unchanged, so the
-    totals and records of a report are bit-identical across them; deep
-    mode only adds per-tile attribution.  Exchange seconds are summed per
-    superstep from each record's plan-time charge: the cost model is not
-    linear in bytes (overlapping transfers + a setup constant that vanishes
+    Every depth runs :meth:`add` unchanged, so the totals and records of a
+    report are bit-identical across depths; deep mode only adds per-tile
+    attribution.  Exchange seconds are summed per superstep from each
+    record's plan-time charge: the cost model is not linear in bytes (overlapping transfers + a setup constant that vanishes
     for empty exchanges), so no run total can stand in.
     """
 
@@ -700,18 +695,14 @@ class Profiler:
             self._tiles.reset()
 
     @property
-    def sinks(self) -> tuple[typing.Callable[[SuperstepCharge], None], ...]:
-        """The superstep subscribers this profiler contributes.
+    def observers(self) -> tuple[typing.Callable[[SuperstepCharge], None], ...]:
+        """The superstep observers this profiler contributes.
 
-        Always :meth:`record`; deep mode adds the per-tile accumulator.
+        The per-tile accumulator in deep mode; none otherwise.
         """
         if self._tiles is None:
-            return (self.record,)
-        return (self.record, self._tiles.record)
-
-    def record(self, charge: SuperstepCharge) -> None:
-        """Accumulate one superstep record (the always-on subscriber)."""
-        self.add(*charge[:7])
+            return ()
+        return (self._tiles.record,)
 
     def add(
         self,
@@ -726,10 +717,8 @@ class Profiler:
         """Accumulate one superstep's scalars: the one accounting routine.
 
         The arguments are the first seven fields of a
-        :class:`SuperstepCharge`, in order.  :meth:`record` and
-        :meth:`record_superstep` reach this through the record; the engine
-        calls it directly when the profiler is a run's only subscriber, so
-        the record is built only for opt-in subscribers.
+        :class:`SuperstepCharge`, in order.  The engine and
+        :meth:`record_superstep` call it once per superstep.
         """
         self._supersteps += 1
         self._agg_compute_cycles += compute_cycles
@@ -769,13 +758,13 @@ class Profiler:
         tile_cycles: np.ndarray | None = None,
         exchange_by_tensor: typing.Mapping[str, int] | None = None,
     ) -> SuperstepCharge:
-        """Price one superstep from its raw quantities and feed :attr:`sinks`.
+        """Price one superstep from its raw quantities and charge it.
 
         The direct-use form of the engine's path: ``inter_ipu_bytes`` is the
         cross-chip subset of the exchange (see :func:`fixed_charges`);
-        deep profilers also take the superstep's per-tile cycle totals
-        (``tile_ids``/``tile_cycles``) and per-tensor exchange attribution.
-        Returns the record.
+        deep profilers also pass the superstep's per-tile cycle totals
+        (``tile_ids``/``tile_cycles``) and per-tensor exchange attribution
+        to :attr:`observers`.  Returns the record.
         """
         sync_seconds, exchange_seconds = fixed_charges(
             self._spec, exchange_bytes, inter_ipu_bytes
@@ -792,8 +781,9 @@ class Profiler:
             tile_cycles,
             exchange_by_tensor,
         )
-        for sink in self.sinks:
-            sink(charge)
+        self.add(*charge[:7])
+        for observer in self.observers:
+            observer(charge)
         return charge
 
     @property

@@ -2,10 +2,11 @@
 
 A :class:`Tensor` is a named, typed, statically-shaped array variable with an
 explicit :class:`~repro.ipu.mapping.TileMapping` (§III-A).  Its element
-buffer is owned by the tensor; vertices connect to *regions* (flat-index
+buffer is owned by the tensor and fixed for its lifetime, as tile SRAM is
+placed once at compile time; vertices connect to *regions* (flat-index
 intervals) of tensors, and the engine materializes those regions as numpy
-views, so compute happens in place, just as tile SRAM is updated in place on
-the real device.
+views once, so compute happens in place, just as tile SRAM is updated in
+place on the real device.
 
 Shapes and dtypes are fixed at graph-construction time; the compiler rejects
 unmapped tensors.  Supported dtypes mirror what the paper's kernels need:
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Iterable
 
 import numpy as np
 
@@ -35,7 +35,10 @@ class Tensor:
 
     Instances are created through :meth:`repro.ipu.graph.ComputeGraph.add_tensor`
     rather than directly, so names are unique per graph and mappings are
-    validated against the device spec at compile time.
+    validated against the device spec at compile time.  The element
+    buffer (:attr:`data`) is allocated once and never rebound: every write
+    lands in place, so views the engine binds stay valid for the tensor's
+    lifetime.
     """
 
     name: str
@@ -43,12 +46,6 @@ class Tensor:
     dtype: np.dtype
     mapping: TileMapping | None = None
     graph_id: int = -1
-    #: Buffer generation: bumped every time :attr:`data` is **rebound** to a
-    #: new array object (in-place writes through views don't count).
-    #: Execution plans key their cached zero-copy views on this, so a rebind
-    #: — e.g. a serving layer swapping in a staging buffer — invalidates
-    #: stale views instead of silently reading the orphaned old buffer.
-    version: int = dataclasses.field(default=0, init=False, repr=False)
     #: Content write counter: the engine bumps it after every superstep or
     #: :class:`~repro.ipu.programs.Copy` that writes the tensor, and at the
     #: start of every run (host writes happen between runs).  A bound
@@ -58,13 +55,8 @@ class Tensor:
 
     @property
     def data(self) -> np.ndarray:
-        """The element buffer; assigning a new array bumps :attr:`version`."""
+        """The element buffer (read-only attribute; write its contents)."""
         return self._data
-
-    @data.setter
-    def data(self, value: np.ndarray) -> None:
-        self._data = value
-        self.version += 1
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -155,8 +147,3 @@ class Tensor:
             f"Tensor({self.name!r}, shape={self.shape}, dtype={self.dtype}, "
             f"{mapped})"
         )
-
-
-def total_bytes(tensors: Iterable[Tensor]) -> int:
-    """Summed footprint of ``tensors`` (compiler helper)."""
-    return sum(tensor.nbytes for tensor in tensors)

@@ -81,26 +81,6 @@ class AssignmentResult:
         matrix[np.arange(self.size), self.assignment] = 1
         return matrix
 
-    def restricted_to(self, size: int) -> "AssignmentResult":
-        """Drop padding rows/columns from a padded solve.
-
-        Only valid when the first ``size`` rows happen to be matched to the
-        first ``size`` columns (which zero-padding guarantees for optimal
-        solutions of non-negative matrices whose optimum avoids padding).
-        Raises :class:`SolverError` otherwise.
-        """
-        if size > self.size:
-            raise SolverError(
-                f"cannot restrict a size-{self.size} result to size {size}"
-            )
-        head = self.assignment[:size]
-        if np.any(head >= size):
-            raise SolverError(
-                "padded optimum matches an original row to a padding column; "
-                "restriction is not well-defined"
-            )
-        return dataclasses.replace(self, assignment=head, stats=dict(self.stats))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         device = (
             f", device_time_s={self.device_time_s:.6f}"

@@ -269,21 +269,6 @@ class Ticket:
         return f"Ticket(id={self.request_id}, n={self.request.size}, {state})"
 
 
-def extra_of(response: SolveResponse) -> dict[str, Any]:
-    """Flat JSON-ready summary of a response (load-generator reports)."""
-    return {
-        "request_id": response.request_id,
-        "correlation_id": response.correlation_id,
-        "status": response.status,
-        "backend": response.backend,
-        "degraded": response.degraded,
-        "retries": response.retries,
-        "latency_s": response.latency_s,
-        "gap_bound": response.gap_bound,
-        "reject": None if response.reject is None else response.reject.code,
-    }
-
-
 def verify_answer(
     instance: LAPInstance,
     assignment,

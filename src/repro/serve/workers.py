@@ -479,10 +479,6 @@ class WorkerPool:
         with self._lock:
             return all(handle.alive and handle.ready for handle in self._handles)
 
-    def live_workers(self) -> int:
-        with self._lock:
-            return sum(1 for handle in self._handles if handle.alive)
-
     # ------------------------------------------------------------------
     # Submission and routing
     # ------------------------------------------------------------------

@@ -62,8 +62,8 @@ SIZES = (8, 17, 64)
 PAD = 3
 
 #: Solver settings per configuration; "warm" also re-solves a drifted copy,
-#: "padded" solves at ``n + PAD``, and "traced" runs every superstep through
-#: the subscriber path that builds a ``SuperstepCharge`` record.
+#: "padded" solves at ``n + PAD``, and "traced" has observers, so every
+#: superstep also builds a ``SuperstepCharge`` record and hands it to them.
 CONFIGS = {
     "batched": {},
     "per_tile": {"engine_mode": "per_tile"},

