@@ -66,24 +66,38 @@ def compress_rows_host(
     return compress, zero_count
 
 
-def _compress_batch(
-    block: np.ndarray, compress: np.ndarray, zero_count: np.ndarray, tol: float
+def _compact(
+    mask: np.ndarray,
+    compress: np.ndarray,
+    zero_count: np.ndarray,
+    segment: np.ndarray,
+    start: np.ndarray,
+    rows: np.ndarray | None = None,
 ) -> None:
-    """Vectorized compression of a ``(V, rows, cols)`` batch (in place)."""
-    batch, rows, cols = block.shape
-    threads = zero_count.shape[-1]
-    compress[...] = -1
-    for thread, (start, stop) in enumerate(segment_bounds(cols, threads)):
-        if start == stop:
-            zero_count[..., thread] = 0
-            continue
-        mask = block[..., start:stop] <= tol
-        cumulative = mask.cumsum(axis=-1)
-        zero_count[..., thread] = cumulative[..., -1]
-        batch_idx, row_idx, col_idx = np.nonzero(mask)
-        slots = cumulative[batch_idx, row_idx, col_idx] - 1
-        compress[batch_idx, row_idx, start + slots] = start + col_idx
-    # (zero_count written above; compress already -1 where unused.)
+    """Write the Fig. 1 layout of zero-flag rows in one pass (in place).
+
+    ``mask`` holds one row of zero flags per compressed row; ``compress``
+    and ``zero_count`` are the 2-D ``(rows, cols)`` and ``(rows, threads)``
+    layouts, of which ``rows`` (all when ``None``) are rewritten.
+    ``segment`` and ``start`` give each column's segment and that
+    segment's first column.  The zeros come out row-major, so their
+    ``row * threads + segment`` keys ascend and a zero's slot in its
+    segment is its rank among the zeros with its key.
+    """
+    threads = zero_count.shape[1]
+    local, col = mask.nonzero()
+    key = local * threads + segment[col]
+    counts = np.bincount(key, minlength=mask.shape[0] * threads)
+    slot = np.arange(len(key)) - (counts.cumsum() - counts)[key]
+    counts = counts.reshape(-1, threads)
+    if rows is None:
+        zero_count[...] = counts
+        compress.fill(-1)
+        compress[local, start[col] + slot] = col
+    else:
+        zero_count[rows] = counts
+        compress[rows] = -1
+        compress[rows[local], start[col] + slot] = col
 
 
 class CompressRows(Codelet):
@@ -91,26 +105,77 @@ class CompressRows(Codelet):
 
     Six worker threads scan six row segments concurrently, so the tile cost
     is the per-row scan divided across threads (§IV-B), using paired 64-bit
-    loads (§IV-C).
+    loads (§IV-C).  The charge depends only on the block's shape.
+
+    The bound kernel (:class:`_BoundCompress`) writes exactly what
+    :meth:`compute_all` does, but rewrites only the rows whose zero set
+    changed since its previous call.
     """
 
     fields = {"block": "in", "compress": "out", "zero_count": "out"}
 
     def compute_all(self, views, params, cost: CostContext) -> np.ndarray:
-        cols = int(params["cols"][0])
+        return self.bind(params, cost)(views)
+
+    def bind(self, params, cost: CostContext, tensors=None):
+        return _BoundCompress(params, cost, tensors)
+
+
+class _BoundCompress:
+    """:class:`CompressRows` bound to one plan, recompressing incrementally.
+
+    A Step 6 update changes the zero set of few rows, so the kernel keeps
+    the previous call's zero mask (``block <= tol``) and, while the write
+    counters of ``compress`` and ``zero_count`` show that only this kernel
+    wrote them since, rewrites just the rows whose mask differs.  Any
+    other write (Step 2's row sort, a new run) or a kernel bound without
+    ``tensors`` (the stateless :meth:`CompressRows.compute_all`) takes one
+    full pass, and only a kernel with ``tensors`` keeps the mask.
+    """
+
+    def __init__(self, params, cost: CostContext, tensors) -> None:
+        self.cols = int(params["cols"][0])
         threads = int(params["threads"][0])
-        tol = float(params["tol"][0])
-        block = views["block"]
-        batch = block.shape[0]
-        rows = block.shape[1] // cols
-        _compress_batch(
-            block.reshape(batch, rows, cols),
-            views["compress"].reshape(batch, rows, cols),
-            views["zero_count"].reshape(batch, rows, threads),
-            tol,
+        self.tol = float(params["tol"][0])
+        self.cost = cost
+        self.segment = np.empty(self.cols, dtype=np.intp)
+        self.start = np.empty(self.cols, dtype=np.intp)
+        for thread, (start, stop) in enumerate(segment_bounds(self.cols, threads)):
+            self.segment[start:stop] = thread
+            self.start[start:stop] = start
+        self.outputs = (
+            None if tensors is None else (tensors["compress"], tensors["zero_count"])
         )
-        work = rows * cost.scan_cycles(cols)
-        return np.asarray(cost.segmented(work)) * np.ones(batch)
+        self.expected: tuple[int, int] | None = None
+        self.mask: np.ndarray | None = None  # zero flags behind ``compress``
+        self.cycles: np.ndarray | None = None
+
+    def __call__(self, views) -> np.ndarray:
+        cols = self.cols
+        block = views["block"]
+        mask = block.reshape(-1, cols) <= self.tol
+        compress = views["compress"].reshape(-1, cols)
+        zero_count = views["zero_count"].reshape(len(mask), -1)
+        if self.cycles is None:
+            rows = block.shape[1] // cols
+            work = rows * self.cost.scan_cycles(cols)
+            self.cycles = np.asarray(self.cost.segmented(work)) * np.ones(len(block))
+        outputs = self.outputs
+        if outputs is None:
+            _compact(mask, compress, zero_count, self.segment, self.start)
+            return self.cycles
+        if self.expected == (outputs[0].writes, outputs[1].writes):
+            rows = (mask != self.mask).any(axis=1).nonzero()[0]
+            if len(rows):
+                _compact(
+                    mask[rows], compress, zero_count, self.segment, self.start, rows
+                )
+        else:
+            _compact(mask, compress, zero_count, self.segment, self.start)
+        self.mask = mask
+        # The engine bumps both outputs once after this superstep.
+        self.expected = (outputs[0].writes + 1, outputs[1].writes + 1)
+        return self.cycles
 
 
 def build_compress(graph, state, plan):

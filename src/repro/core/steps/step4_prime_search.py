@@ -93,6 +93,11 @@ class _BoundScan:
     recompress), a vertex therefore sees entries that depend on the other
     vertices in its batch, and ``per_tile`` runs can differ from batched
     ones.
+
+    A rebuild follows every recompression, though one changes the zeros
+    of only a few rows: re-deriving just those rows still needs most of a
+    rebuild's array operations (the diff against a kept list, the charge,
+    the rows' first open entries), and saves too little for its state.
     """
 
     def __init__(self, params, cost: CostContext, tensors) -> None:
@@ -147,7 +152,8 @@ class _BoundScan:
                 self._update_rows(views, moved + flipped)
             else:
                 row_star = row_star[:, 0]
-                found = np.where(cover, -1, self.columns[self.first])
+                found = np.maximum(self.codes[self.first], -1)
+                found = np.where(cover, -1, found)
                 status = np.where(found < 0, -1, row_star < 0)
                 views["zero_status"][:, 0] = status
                 views["zero_col"][:, 0] = found
@@ -166,7 +172,7 @@ class _BoundScan:
                     stars.writes,
                 )
             return self.cycles
-        found = self.columns[self.first].reshape(row_cover.shape)
+        found = np.maximum(self.codes[self.first], -1).reshape(row_cover.shape)
         found = np.where(row_cover, -1, found)
         status = np.where(found < 0, -1, row_star < 0)
         views["zero_status"][...] = status
@@ -193,7 +199,8 @@ class _BoundScan:
         zero_status, zero_col = views["zero_status"], views["zero_col"]
         partial = views["partial"]
         for row in rows:
-            col = -1 if cover.item(row, 0) else self.columns.item(self.first.item(row))
+            code = self.codes.item(self.first.item(row))
+            col = -1 if cover.item(row, 0) else max(code, -1)
             status = -1 if col < 0 else int(star.item(row, 0) < 0)
             zero_status[row, 0] = partial[row, 0] = status
             zero_col[row, 0] = partial[row, 2] = col
@@ -204,45 +211,44 @@ class _BoundScan:
         compress = views["compress"]
         batch = compress.shape[0]
         rows = compress.shape[1] // cols
-        positions = compress.reshape(batch, rows, cols)
-        counts = views["zero_count"].reshape(batch, rows, threads)
+        counts = views["zero_count"]
         # Touch only each segment's populated front slots — the
         # compression payoff: work scales with the zero count, not n.
         occupancy = counts.reshape(-1, threads).max(axis=0).tolist()
-        parts = [
-            positions[..., start : start + occ]
-            for (start, stop), occ in zip(self.bounds, occupancy)
-            if stop > start and occ > 0
-        ]
-        flat = np.concatenate(parts, axis=2) if parts else positions[..., :0]
-        flat = flat.reshape(batch * rows, -1)
-        valid = flat >= 0
+        take = np.concatenate(
+            [
+                np.arange(start, start + occ)
+                for (start, _), occ in zip(self.bounds, occupancy)
+            ]
+        )
+        listed = compress.reshape(-1, cols)[:, take]
         status_cycles, row_scan_cycles = _row_cycles(cost, rows)
         if self.full_scan:
             # Compression ablation: charge what scanning the raw slack
             # rows would cost (the computation itself is unchanged).
             work = rows * np.asarray(cost.scan_cycles(cols)) * np.ones(batch)
         else:
-            zeros_scanned = valid.reshape(batch, -1).sum(axis=1)
+            zeros_scanned = (listed >= 0).reshape(batch, -1).sum(axis=1)
             per_zero = cost.cycles_per_dynamic_access + cost.cycles_per_alu_op
             work = zeros_scanned * per_zero + status_cycles
         self.cycles = np.ceil(work / cost.threads_per_tile) + row_scan_cycles
-        # Column codes per row: a listed column, ``width`` for an empty slot
-        # (always covered), then a closing ``width + 1`` (always open), so
+        # Column codes per row: the listed entries (a column, or -1 for an
+        # empty slot, always covered), then a closing -2 (always open), so
         # every row has an open entry.  ``first`` holds the flat index of
         # each row's first open entry (flat order within a row is slot
-        # order); ``columns`` reads it as a column, or -1 for the closer.
-        width = len(covers)
-        codes = np.full((len(flat), flat.shape[1] + 1), width + 1)
-        codes[:, :-1] = np.where(valid, flat, width)
+        # order); its code, or -1 for the closer, is the row's zero column.
+        length = listed.shape[1] + 1
+        codes = np.empty((len(listed), length), dtype=listed.dtype)
+        codes[:, :-1] = listed
+        codes[:, -1] = -2
         self.codes = codes.reshape(-1)
-        self.columns = np.where(self.codes < width, self.codes, -1)
-        self.row_length = codes.shape[1]
+        self.row_length = length
+        width = len(covers)
         self.open = np.empty(width + 2, dtype=covers.dtype)
         self.open[:width] = covers
-        self.open[width:] = (1, 0)
+        self.open[width:] = (0, 1)  # codes -2 and -1 index these two
         self.open_cols = self.open[:width]
-        self.base = np.arange(0, len(self.codes), self.row_length)
+        self.base = np.arange(0, len(self.codes), length)
         self.first = self._first_open()
 
     def _refresh(self, covers) -> list[int] | None:

@@ -78,12 +78,23 @@ class VecReduce(Codelet):
         return f"VecReduce[{self.op}]"
 
     def compute_all(self, views, params, cost: CostContext) -> np.ndarray:
-        reduce_fn, _ = _REDUCE_OPS[self.op]
-        data = views["data"]
-        views["out"][:, 0] = reduce_fn(data, axis=1)
-        return np.asarray(cost.segmented(cost.scan_cycles(data.shape[1]))) * np.ones(
-            data.shape[0]
-        )
+        return self.bind(params, cost)(views)
+
+    def bind(self, params, cost: CostContext, tensors=None):
+        _, reduce_ufunc = _REDUCE_OPS[self.op]
+        cycles = np.empty(0)  # one shape per plan: priced on the first call
+
+        def reduce(views) -> np.ndarray:
+            nonlocal cycles
+            data = views["data"]
+            views["out"][:, 0] = reduce_ufunc.reduce(data, axis=1)
+            if len(cycles) != len(data):
+                cycles = np.asarray(
+                    cost.segmented(cost.scan_cycles(data.shape[1]))
+                ) * np.ones(len(data))
+            return cycles
+
+        return reduce
 
 
 class RowMin(Codelet):
@@ -199,8 +210,21 @@ class AddToScalar(Codelet):
     fields = {"out": "inout"}
 
     def compute_all(self, views, params, cost: CostContext) -> np.ndarray:
-        views["out"][:, 0] += params["value"].astype(views["out"].dtype)
-        return np.full(views["out"].shape[0], cost.cycles_per_alu_op)
+        return self.bind(params, cost)(views)
+
+    def bind(self, params, cost: CostContext, tensors=None):
+        value = cycles = np.empty(0)  # cast and priced on the first call
+
+        def add(views) -> np.ndarray:
+            nonlocal value, cycles
+            out = views["out"]
+            if len(cycles) != len(out):
+                value = params["value"].astype(out.dtype)
+                cycles = np.full(len(out), cost.cycles_per_alu_op)
+            out[:, 0] += value
+            return cycles
+
+        return add
 
 
 class ScalarCompare(Codelet):

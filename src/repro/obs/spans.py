@@ -132,9 +132,19 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
-@contextlib.contextmanager
-def _null_context() -> Iterator[_NullSpan]:
-    yield _NULL_SPAN
+class _NullContext:
+    """Shared inert context manager: enters as :data:`_NULL_SPAN`."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> _NullSpan:
+        return _NULL_SPAN
+
+    def __exit__(self, *exc_info: Any) -> None:
+        return None
+
+
+_NULL_CONTEXT = _NullContext()
 
 
 class NullSpanTracer:
@@ -171,10 +181,10 @@ class NullSpanTracer:
         root: bool = False,
         **attributes: Any,
     ):
-        return _null_context()
+        return _NULL_CONTEXT
 
     def activate(self, span) -> contextlib.AbstractContextManager:
-        return _null_context()
+        return _NULL_CONTEXT
 
 
 #: Shared disabled span tracer (stateless, safe to reuse everywhere).
@@ -423,7 +433,7 @@ def child_span(name: str, **attributes: Any):
     """
     active = _ACTIVE.get()
     if active is None:
-        return _null_context()
+        return _NULL_CONTEXT
     collector, span = active
     return collector.span(
         name,

@@ -1,9 +1,11 @@
 """Property tests for the slack-matrix compression scheme (§IV-B)."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import compression
 from repro.core.compression import (
     CompressRows,
     RowZeroSum,
@@ -11,6 +13,7 @@ from repro.core.compression import (
     segment_bounds,
 )
 from repro.ipu.codelets import CostContext
+from repro.ipu.tensor import Tensor
 
 COST = CostContext()
 
@@ -152,3 +155,140 @@ class TestDeviceCodelet:
             COST,
         )
         assert list(row_zeros[0]) == [4, 4]
+
+
+TOL = 1e-9
+
+
+class _Plan:
+    """A compress compute set of ``batch`` vertices of ``rows`` rows each,
+    run the way the engine runs a bound kernel: views fixed, and both
+    outputs' write counters bumped after every call."""
+
+    def __init__(self, batch, rows, cols, slack, *, bound=True):
+        self.cols = cols
+        self.block = Tensor("slack", (batch * rows * cols,), np.dtype(np.float64))
+        self.compress = Tensor("compress", (batch * rows * cols,), np.dtype(np.int32))
+        self.counts = Tensor("zero_count", (batch * rows * 6,), np.dtype(np.int32))
+        self.block.write_host(slack)
+        tensors = {
+            "block": self.block,
+            "compress": self.compress,
+            "zero_count": self.counts,
+        }
+        self.views = {field: t.data.reshape(batch, -1) for field, t in tensors.items()}
+        params = {
+            "cols": np.full(batch, float(cols)),
+            "threads": np.full(batch, 6.0),
+            "tol": np.full(batch, TOL),
+        }
+        self.kernel = CompressRows().bind(params, COST, tensors if bound else None)
+
+    @property
+    def slack(self) -> np.ndarray:
+        return self.block.data.reshape(-1, self.cols)
+
+    def run(self) -> np.ndarray:
+        cycles = self.kernel(self.views)
+        self.compress.writes += 1
+        self.counts.writes += 1
+        return cycles
+
+    def assert_matches_host(self) -> None:
+        expected_compress, expected_counts = compress_rows_host(self.slack, 6, TOL)
+        assert np.array_equal(self.compress.data.reshape(-1, self.cols), expected_compress)
+        assert np.array_equal(self.counts.data.reshape(-1, 6), expected_counts)
+
+
+def _spy_passes(monkeypatch) -> list:
+    """Record each compaction: ``None`` for a full pass, else its rows."""
+    seen = []
+    compact = compression._compact
+
+    def spy(mask, compress, zero_count, segment, start, rows=None):
+        seen.append(None if rows is None else rows.tolist())
+        compact(mask, compress, zero_count, segment, start, rows)
+
+    monkeypatch.setattr(compression, "_compact", spy)
+    return seen
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    return _spy_passes(monkeypatch)
+
+
+def _slack(rng, shape):
+    """Entries at zero, exactly at the tolerance, just above it, or large."""
+    choices = np.array([0.0, TOL, np.nextafter(TOL, 1.0), 1.0, 7.0])
+    return choices[rng.integers(0, len(choices), shape)]
+
+
+class TestBoundCompression:
+    """The bound kernel rewrites only rows whose zero set changed."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        batch=st.integers(1, 3),
+        rows=st.integers(1, 4),
+        cols=st.integers(1, 20),
+        seed=st.integers(0, 10_000),
+    )
+    def test_edit_sequence_matches_host_reference(self, batch, rows, cols, seed):
+        rng = np.random.default_rng(seed)
+        plan = _Plan(batch, rows, cols, _slack(rng, (batch * rows, cols)))
+        with pytest.MonkeyPatch.context() as patch:
+            seen = _spy_passes(patch)
+            reference = plan.run()
+            plan.assert_matches_host()
+            for step in range(12):
+                edit = step % 4
+                slack = plan.slack
+                if edit == 1:  # one row
+                    row = rng.integers(len(slack))
+                    slack[row] = _slack(rng, cols)
+                elif edit == 2:  # many rows
+                    picked = rng.choice(len(slack), (len(slack) + 1) // 2, replace=False)
+                    slack[picked] = _slack(rng, (len(picked), cols))
+                elif edit == 3:  # one entry crosses the tolerance edge
+                    row, col = rng.integers(len(slack)), rng.integers(cols)
+                    edge = slack[row, col] <= TOL
+                    slack[row, col] = np.nextafter(TOL, 1.0) if edge else TOL
+                cycles = plan.run()
+                plan.assert_matches_host()
+                assert cycles.tobytes() == reference.tobytes()
+        # One full pass, on the first call; every later one is incremental.
+        assert seen[0] is None
+        assert None not in seen[1:]
+
+    def test_only_changed_rows_are_rewritten(self, passes):
+        rng = np.random.default_rng(3)
+        plan = _Plan(2, 3, 13, _slack(rng, (6, 13)))
+        plan.run()
+        plan.run()  # nothing changed: no compaction at all
+        plan.slack[4, 2] = 0.0 if plan.slack[4, 2] > TOL else 1.0
+        plan.run()
+        plan.assert_matches_host()
+        assert passes == [None, [4]]
+
+    def test_outside_write_forces_full_pass(self, passes):
+        rng = np.random.default_rng(5)
+        plan = _Plan(2, 2, 12, _slack(rng, (4, 12)))
+        plan.run()
+        # Another kernel (Step 2's row sort) writes compress, and the
+        # engine bumps its counter: the next call recompacts every row.
+        plan.compress.data[...] = 9
+        plan.compress.writes += 1
+        plan.run()
+        plan.assert_matches_host()
+        assert passes == [None, None]
+
+    def test_unbound_kernel_keeps_no_state(self, passes):
+        rng = np.random.default_rng(7)
+        plan = _Plan(2, 2, 9, _slack(rng, (4, 9)), bound=False)
+        plan.run()
+        plan.compress.data[...] = 9  # no counter tells the kernel
+        plan.run()
+        plan.assert_matches_host()
+        assert passes == [None, None]
+        assert plan.kernel.mask is None and plan.kernel.expected is None

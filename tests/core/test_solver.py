@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from repro.core.solver import HunIPUSolver
+from repro.data.synthetic import gaussian_instance
 from repro.errors import SolverError, TileMemoryError
 from repro.ipu.spec import IPUSpec
 from repro.lap.problem import LAPInstance
@@ -140,6 +141,19 @@ class TestDeviceModel:
     def test_unsupported_dtype_rejected(self):
         with pytest.raises(SolverError, match="dtype"):
             HunIPUSolver(dtype=np.int32)
+
+    def test_paper_scale_modeled_time_is_pinned(self):
+        """Gaussian n=512, k=100: the ROADMAP's paper-scale anchor.
+
+        Host work is incremental at this size (most Step 6 recompressions
+        rewrite a few rows), so a host-side shortcut that moved a single
+        charge or branch would show here, beyond the identity matrix's n.
+        """
+        instance = gaussian_instance(512, 100, seed=0)
+        result = HunIPUSolver().solve(instance)
+        assert result.device_time_s.hex() == "0x1.bf06d3b72ba72p-5"
+        assert result.stats["profile"].supersteps == 71117
+        assert result.total_cost == pytest.approx(_optimum(instance.costs))
 
     def test_paper_scale_float64_hits_tile_memory_limit(self):
         """C2 reproduced: n=8192 float64 cannot fit 624 KiB tiles."""

@@ -151,13 +151,18 @@ class TestReentrancy:
         seen = []
 
         class Reentering(AddToScalar):
-            def compute_all(self, views, params, cost):
-                # Re-enter once, from inside the first superstep.
-                if not seen:
-                    seen.append(True)
-                    with pytest.raises(ExecutionError, match="not reentrant"):
-                        engine.run()
-                return super().compute_all(views, params, cost)
+            def bind(self, params, cost, tensors=None):
+                add = super().bind(params, cost, tensors)
+
+                def reenter(views):
+                    # Re-enter once, from inside the first superstep.
+                    if not seen:
+                        seen.append(True)
+                        with pytest.raises(ExecutionError, match="not reentrant"):
+                            engine.run()
+                    return add(views)
+
+                return reenter
 
         graph = ComputeGraph(toy_spec)
         counter = graph.add_scalar("counter")
