@@ -27,7 +27,7 @@ from repro.core.state import SolverState
 from repro.ipu.codelets import Codelet, CostContext
 from repro.ipu.graph import ComputeGraph
 from repro.ipu.mapping import TileMapping
-from repro.ipu.oplib import chip_slices
+from repro.ipu.oplib import fold_per_chip
 from repro.ipu.programs import Execute, Program, Sequence
 
 __all__ = [
@@ -327,31 +327,28 @@ class _Winner:
         return 4 * int(status.argmax())
 
 
-def _winner(partials: np.ndarray) -> np.ndarray:
-    """The winning 4-tuple of one flat row of 4-tuples (see :class:`_Winner`)."""
-    at = _Winner()(partials)
-    return partials[at : at + 4]
-
-
 class StatusArgmaxPartial(Codelet):
     """Per-chip combine of the tile winners (max status, lowest row on ties).
 
-    The intra-IPU stage of the hierarchical Step-4 reduction: each chip
-    folds its own tiles' ``[status, row, zero_col, star_col]`` partials
-    into one winner, on a tile of that chip, so only one 4-tuple per chip
-    ever crosses IPU-Links.  The order (status descending, row ascending)
-    is a total order over distinct rows, so composing this stage with
+    The intra-IPU stage of the hierarchical Step-4 reduction
+    (:func:`~repro.ipu.oplib.fold_per_chip`): each chip folds its own
+    tiles' ``[status, row, zero_col, star_col]`` partials into one winner,
+    on a tile of that chip, so only one 4-tuple per chip ever crosses
+    IPU-Links.  The order (status descending, row ascending) is a total
+    order over distinct rows, so composing this stage with
     :class:`StatusArgmaxFinal` selects exactly the same row as the flat
     single-stage arg-max — bit-identical control flow on every branch.
     """
 
-    fields = {"partials": "in", "winner": "out"}
+    fields = {"data": "in", "out": "out"}
 
     def compute_all(self, views, params, cost: CostContext) -> np.ndarray:
-        flat = views["partials"]
-        for vertex, partials in enumerate(flat):
-            views["winner"][vertex] = _winner(partials)
-        return np.full(flat.shape[0], _combine_cycles(cost, flat.shape[1] // 4))
+        data, out = views["data"], views["out"]
+        winner = _Winner()
+        for vertex, partials in enumerate(data):
+            at = winner(partials)
+            out[vertex] = partials[at : at + 4]
+        return np.full(len(data), _combine_cycles(cost, data.shape[1] // 4))
 
 
 class StatusArgmaxFinal(Codelet):
@@ -478,44 +475,16 @@ def build_step4(
                 "full_scan": 0 if use_compression else 1,
             },
         )
-    slices = (
-        chip_slices(plan.row_tiles, graph.spec.num_tiles)
-        if graph.spec.num_ipus > 1
-        else None
+    # Hierarchical arg-max (§IV-F on a cluster): the lexicographic order is
+    # associative over distinct rows — same selection, same branches, bit
+    # for bit.
+    final_input, stages = fold_per_chip(
+        graph,
+        partials,
+        StatusArgmaxPartial(),
+        "step4/ipu_partials",
+        "step4/argmax_ipu",
     )
-    if slices is not None and len(slices) > 1:
-        # Hierarchical arg-max (§IV-F on a cluster): each chip folds its own
-        # tiles' partials into one winner locally, so only one 4-tuple per
-        # chip crosses IPU-Links into the final stage.  The lexicographic
-        # order is associative over distinct rows — same selection, same
-        # branches, bit for bit.
-        ipu_partials = graph.add_tensor(
-            "step4/ipu_partials",
-            (len(slices), 4),
-            np.int32,
-            mapping=TileMapping.linear_segments(
-                len(slices) * 4,
-                4,
-                [plan.row_tiles[start] for _, start, _ in slices],
-            ),
-        )
-        cs_ipu = graph.add_compute_set("step4/argmax_ipu")
-        for index, (_, start, stop) in enumerate(slices):
-            cs_ipu.add_vertex(
-                StatusArgmaxPartial(),
-                plan.row_tiles[start],
-                {
-                    "partials": ComputeGraph.span(partials, start * 4, stop * 4),
-                    "winner": ComputeGraph.span(
-                        ipu_partials, index * 4, (index + 1) * 4
-                    ),
-                },
-            )
-        final_input = ipu_partials
-        stages = [Execute(cs_scan), Execute(cs_ipu), Execute(cs_final)]
-    else:
-        final_input = partials
-        stages = [Execute(cs_scan), Execute(cs_final)]
     cs_final.add_vertex(
         StatusArgmaxFinal(),
         0,
@@ -528,7 +497,7 @@ def build_step4(
             "prime_count": ComputeGraph.full(state.prime_count),
         },
     )
-    return Sequence(*stages)
+    return Sequence(Execute(cs_scan), *stages, Execute(cs_final))
 
 
 def build_prime_update(

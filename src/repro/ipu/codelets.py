@@ -112,6 +112,20 @@ class Codelet(abc.ABC):
     #: traffic, which is exactly what C4 forbids.
     local_fields: tuple[str, ...] = ()
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        # The engine runs the kernel from ``bind``, so a ``compute_all``
+        # defined below an ancestor's ``bind`` override would never run.
+        super().__init_subclass__(**kwargs)
+        if (
+            "compute_all" in vars(cls)
+            and "bind" not in vars(cls)
+            and cls.bind is not Codelet.bind
+        ):
+            raise GraphConstructionError(
+                f"codelet {cls.__name__} overrides compute_all below an "
+                "ancestor's bind override; override bind as well"
+            )
+
     def __init__(self) -> None:
         if not self.fields:
             raise GraphConstructionError(

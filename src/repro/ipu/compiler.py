@@ -367,19 +367,13 @@ def _check_write_overlaps(compute_set: ComputeSet) -> tuple[Tensor, ...]:
 
 
 def _build_plan(compute_set: ComputeSet, spec: IPUSpec) -> ExecutionPlan:
-    plan = _build_plan_inner(compute_set, spec)
-    if spec.num_ipus > 1:
-        plan.ipus = tuple(
-            sorted({int(tile) // spec.num_tiles for tile in plan.tile_ids})
-        )
-    return plan
-
-
-def _build_plan_inner(compute_set: ComputeSet, spec: IPUSpec) -> ExecutionPlan:
     vertices = compute_set.vertices
     tiles_per_ipu = spec.num_tiles if spec.num_ipus > 1 else None
     account = exchange_account(vertices, tiles_per_ipu)
     vertex_tiles = np.array([vertex.tile for vertex in vertices], dtype=np.int64)
+    ipus = (0,)
+    if tiles_per_ipu is not None:
+        ipus = tuple(np.unique(vertex_tiles // tiles_per_ipu).tolist())
 
     def plan(codelet, field_plans, param_arrays) -> ExecutionPlan:
         return ExecutionPlan(
@@ -392,6 +386,7 @@ def _build_plan_inner(compute_set: ComputeSet, spec: IPUSpec) -> ExecutionPlan:
             account.inter_ipu,
             _assign_worker_slots(vertex_tiles, spec.threads_per_tile),
             account.by_tensor,
+            ipus,
         )
 
     codelet_names = {vertex.codelet.name for vertex in vertices}

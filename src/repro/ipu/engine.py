@@ -330,8 +330,9 @@ class Engine:
         spec = self.compiled.spec
         cost = self.compiled.cost_context
         name = compute_set.name
-        codelets = {vertex.codelet.name for vertex in compute_set.vertices}
-        codelet_name = codelets.pop() if len(codelets) == 1 else "(mixed)"
+        codelet_name = "/".join(
+            sorted({vertex.codelet.name for vertex in compute_set.vertices})
+        )
         if plan.batched and self.mode == "batched":
             kernel = plan.codelet.bind(
                 plan.param_arrays,
@@ -356,12 +357,17 @@ class Engine:
         run = self._run
 
         def execute() -> None:
+            # The one place a codelet fault becomes an ExecutionError that
+            # names the compute set, with the original chained as the cause.
             try:
                 cycles = np.asarray(kernel(views), dtype=np.float64)
             except ExecutionError:
                 raise
             except Exception as exc:
-                raise _codelet_failure(codelet_name, name, exc) from exc
+                raise ExecutionError(
+                    f"codelet {codelet_name} failed in compute set "
+                    f"{name!r}: {exc}"
+                ) from exc
             if cycles.shape != shape:
                 raise ExecutionError(
                     f"codelet {codelet_name} returned cycle array of "
@@ -416,7 +422,6 @@ class Engine:
         it slices each vertex's regions itself.
         """
         cost = self.compiled.cost_context
-        name = plan.compute_set.name
         vertices = tuple(
             (
                 vertex.codelet,
@@ -443,7 +448,7 @@ class Engine:
                     field: tensor.region(start, stop).reshape(1, -1)
                     for field, tensor, start, stop in connections
                 }
-                vertex_cycles = _invoke_codelet(kernel, views, codelet, name)
+                vertex_cycles = np.asarray(kernel(views), dtype=np.float64)
                 if vertex_cycles.shape != (1,):
                     raise ExecutionError(
                         f"codelet {codelet.name} returned cycle array of "
@@ -520,33 +525,6 @@ class _RunState:
         self.tracing = False
         self.observers: tuple[Callable[[SuperstepCharge], None], ...] = ()
         self.add: Callable[..., None] | None = None
-
-
-def _invoke_codelet(kernel, views, codelet, compute_set_name: str):
-    """Run one bound codelet batch, wrapping its faults with BSP context.
-
-    A codelet that raises (or returns something that cannot become a float
-    cycle array) would otherwise surface as a bare exception with no
-    indication of *which* superstep died; every failure here becomes an
-    :class:`ExecutionError` naming the compute set, with the original
-    exception chained as the cause.  The engine's execute step inlines the
-    same wrapping.
-    """
-    try:
-        return np.asarray(kernel(views), dtype=np.float64)
-    except ExecutionError:
-        raise
-    except Exception as exc:
-        raise _codelet_failure(codelet.name, compute_set_name, exc) from exc
-
-
-def _codelet_failure(
-    codelet_name: str, compute_set_name: str, exc: Exception
-) -> ExecutionError:
-    return ExecutionError(
-        f"codelet {codelet_name} failed in compute set "
-        f"{compute_set_name!r}: {exc}"
-    )
 
 
 def _tile_stats(tile_cycles: np.ndarray) -> tuple[float, float, float]:

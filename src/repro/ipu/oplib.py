@@ -7,6 +7,10 @@ equivalent: small stateless codelets with explicit cycle formulas, plus
 :func:`build_reduce`, the standard distributed reduction pattern: two-stage
 (per-tile partial → single-tile final) on one chip, three-stage (per-tile →
 per-IPU → global) when the partials span a multi-IPU cluster.
+
+:func:`fold_per_chip` is the one place the per-IPU stage is built.  It
+serves :func:`build_reduce` (Step 2's τ, Step 3's covered-column count,
+Step 6's Δ) and Step 4's arg-max, whose records are 4-tuples.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ __all__ = [
     "ScalarBinaryCompare",
     "build_reduce",
     "chip_slices",
+    "fold_per_chip",
 ]
 
 _REDUCE_OPS = {
@@ -314,6 +319,55 @@ def chip_slices(
     return slices
 
 
+def fold_per_chip(
+    graph: ComputeGraph,
+    partials: Tensor,
+    codelet: Codelet,
+    tensor_name: str,
+    set_name: str,
+) -> tuple[Tensor, tuple[Program, ...]]:
+    """The per-chip stage of a hierarchical combine, when there is one.
+
+    ``partials`` holds one record per interval of its tile mapping, each
+    ``partials.size // len(tiles)`` elements wide.  When those tiles span
+    two or more chips and each chip's records are contiguous, compute set
+    ``set_name`` places one ``codelet`` vertex per chip on that chip's first
+    tile: its ``data`` field reads the chip's records and its ``out`` field
+    writes one record of the new tensor ``tensor_name``.  That stage needs
+    only on-chip exchange and an internal sync, so the caller's final stage,
+    which reads one record per chip, is the only superstep that crosses
+    IPU-Links.
+
+    Returns ``(tensor_name's tensor, (Execute(stage),))``, or
+    ``(partials, ())`` on one chip or when the chips are interleaved; the
+    caller's final stage then combines ``partials`` directly (the flat
+    two-stage form).
+    """
+    tiles = [interval.tile for interval in partials.require_mapping().intervals]
+    slices = chip_slices(tiles, graph.spec.num_tiles)
+    if slices is None or len(slices) < 2:
+        return partials, ()
+    width = partials.size // len(tiles)
+    heads = [tiles[start] for _, start, _ in slices]
+    folded = graph.add_tensor(
+        tensor_name,
+        (len(slices), *partials.shape[1:]),
+        partials.dtype,
+        mapping=TileMapping.linear_segments(len(slices) * width, width, heads),
+    )
+    stage = graph.add_compute_set(set_name)
+    for index, (_, start, stop) in enumerate(slices):
+        stage.add_vertex(
+            codelet,
+            heads[index],
+            {
+                "data": Connection(partials, start * width, stop * width),
+                "out": Connection(folded, index * width, (index + 1) * width),
+            },
+        )
+    return folded, (Execute(stage),)
+
+
 def build_reduce(
     graph: ComputeGraph,
     source: Tensor,
@@ -327,23 +381,20 @@ def build_reduce(
 
     Stage 1 places one partial-reduce vertex on every tile that owns a piece
     of ``source`` (its result element is mapped to that same tile, so stage 1
-    is exchange-free).  On one chip, stage 2 reduces the partials vector on
-    ``stage_tile``, paying exchange for the remote partials — the same
-    pattern Poplar's ``popops::reduce`` lowers to for small outputs.
+    is exchange-free).  The final stage (``{name}/final``) reduces the
+    partials vector on ``stage_tile``, paying exchange for the remote
+    partials — the same pattern Poplar's ``popops::reduce`` lowers to for
+    small outputs.
 
-    When the partials span several chips (and each chip's partials are
-    contiguous), the combine becomes **hierarchical**: an intra-IPU tree
-    stage (``{name}/ipu``) reduces each chip's partials on a tile of that
-    chip — on-chip exchange and an internal sync only — and the final
-    stage combines one value per chip on ``stage_tile``, the only superstep
-    that crosses IPU-Links.  min/max/sum over the solver's dtypes are
-    associative here (min/max always; the only summed tensors are integer
-    counts), so the grouping change is bit-identical to the flat reduce.
+    On a cluster, :func:`fold_per_chip` first reduces each chip's partials
+    on a tile of that chip (``{name}/ipu``), so the final stage combines one
+    value per chip.  min/max/sum over the solver's dtypes are associative
+    here (min/max always; the only summed tensors are integer counts), so
+    the grouping change is bit-identical to the flat reduce.
     """
     if out.size != 1:
         raise GraphConstructionError("reduce target must be a scalar tensor")
-    mapping = source.require_mapping()
-    intervals = mapping.intervals
+    intervals = source.require_mapping().intervals
     partials = graph.add_tensor(
         f"{name}/partials",
         (len(intervals),),
@@ -361,50 +412,16 @@ def build_reduce(
                 "out": Connection(partials, index, index + 1),
             },
         )
-    spec = graph.spec
-    slices = (
-        chip_slices([iv.tile for iv in intervals], spec.num_tiles)
-        if spec.num_ipus > 1
-        else None
+    final_input, stages = fold_per_chip(
+        graph, partials, codelet, f"{name}/ipu_partials", f"{name}/ipu"
     )
-    if slices is not None and len(slices) > 1:
-        ipu_partials = graph.add_tensor(
-            f"{name}/ipu_partials",
-            (len(slices),),
-            source.dtype,
-            mapping=TileMapping.per_element(
-                [intervals[start].tile for _, start, _ in slices]
-            ),
-        )
-        stage_ipu = graph.add_compute_set(f"{name}/ipu")
-        for index, (_, start, stop) in enumerate(slices):
-            stage_ipu.add_vertex(
-                VecReduce(op),
-                intervals[start].tile,
-                {
-                    "data": Connection(partials, start, stop),
-                    "out": Connection(ipu_partials, index, index + 1),
-                },
-            )
-        stage_final = graph.add_compute_set(f"{name}/final")
-        stage_final.add_vertex(
-            VecReduce(op),
-            stage_tile,
-            {
-                "data": ComputeGraph.full(ipu_partials),
-                "out": ComputeGraph.full(out),
-            },
-        )
-        return Sequence(
-            Execute(stage1), Execute(stage_ipu), Execute(stage_final)
-        )
-    stage2 = graph.add_compute_set(f"{name}/final")
-    stage2.add_vertex(
-        VecReduce(op),
+    stage_final = graph.add_compute_set(f"{name}/final")
+    stage_final.add_vertex(
+        codelet,
         stage_tile,
         {
-            "data": ComputeGraph.full(partials),
+            "data": ComputeGraph.full(final_input),
             "out": ComputeGraph.full(out),
         },
     )
-    return Sequence(Execute(stage1), Execute(stage2))
+    return Sequence(Execute(stage1), *stages, Execute(stage_final))

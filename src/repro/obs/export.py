@@ -79,8 +79,6 @@ __all__ = [
     "PERF_SCHEMA",
     "STREAM_SCHEMA",
     "MULTI_SCHEMA",
-    "validate_stream_document",
-    "validate_multi_document",
     "to_jsonable",
     "profile_report_to_dict",
     "profile_report_from_dict",
@@ -95,9 +93,7 @@ __all__ = [
     "validate_document",
     "validate_trace",
     "validate_profile",
-    "validate_metrics",
     "validate_bench_record",
-    "validate_check_document",
     "validate_serve_stats",
     "SOLVE_REQUEST_SCHEMA",
     "SOLVE_RESPONSE_SCHEMA",
@@ -107,7 +103,6 @@ __all__ = [
     "GOLDEN_SCHEMA",
     "spans_to_dict",
     "validate_spans",
-    "validate_golden_trace",
     "perfetto_from_documents",
     "validate_perfetto",
 ]
@@ -1282,11 +1277,6 @@ def validate_trace(document: Mapping[str, Any]) -> None:
     _validate(TRACE_SCHEMA, document)
 
 
-def validate_metrics(document: Mapping[str, Any]) -> None:
-    """Validate a ``repro.metrics/1`` document."""
-    _validate(METRICS_SCHEMA, document)
-
-
 def validate_profile(document: Mapping[str, Any]) -> None:
     """Validate a ``repro.profile/1`` document."""
     _validate(PROFILE_SCHEMA, document)
@@ -1295,11 +1285,6 @@ def validate_profile(document: Mapping[str, Any]) -> None:
 def validate_bench_record(document: Mapping[str, Any]) -> None:
     """Validate a ``repro.bench-run/1`` document."""
     _validate(BENCH_SCHEMA, document)
-
-
-def validate_check_document(document: Mapping[str, Any]) -> None:
-    """Validate a ``repro.check/1`` document."""
-    _validate(CHECK_SCHEMA, document)
 
 
 def validate_serve_stats(document: Mapping[str, Any]) -> None:
@@ -1322,24 +1307,9 @@ def validate_solve_response(document: Mapping[str, Any]) -> None:
     _validate(SOLVE_RESPONSE_SCHEMA, document)
 
 
-def validate_stream_document(document: Mapping[str, Any]) -> None:
-    """Validate a ``repro.stream/1`` document."""
-    _validate(STREAM_SCHEMA, document)
-
-
-def validate_multi_document(document: Mapping[str, Any]) -> None:
-    """Validate a ``repro.multi/1`` document."""
-    _validate(MULTI_SCHEMA, document)
-
-
 def validate_spans(document: Mapping[str, Any]) -> None:
     """Validate a ``repro.spans/1`` document."""
     _validate(SPANS_SCHEMA, document)
-
-
-def validate_golden_trace(document: Mapping[str, Any]) -> None:
-    """Validate the ``repro.golden-trace/1`` fixture."""
-    _validate(GOLDEN_SCHEMA, document)
 
 
 def validate_tile_profile(document: Mapping[str, Any]) -> None:

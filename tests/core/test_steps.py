@@ -386,7 +386,7 @@ class TestStep4:
         assert views["prime_count"][0, 0] == (top == 0)
         winner = np.zeros((1, 4), dtype=np.int32)
         StatusArgmaxPartial().compute_all(
-            {"partials": views["partials"], "winner": winner}, {}, CostContext()
+            {"data": views["partials"], "out": winner}, {}, CostContext()
         )
         assert list(winner[0]) == list(views["sel"][0])
 

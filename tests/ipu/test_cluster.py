@@ -16,8 +16,8 @@ from repro.ipu.cluster import (
 from repro.ipu.engine import Engine
 from repro.ipu.graph import ComputeGraph
 from repro.ipu.mapping import TileMapping
-from repro.ipu.oplib import build_reduce, chip_slices
-from repro.ipu.programs import Copy, Sequence
+from repro.ipu.oplib import VecReduce, build_reduce, chip_slices, fold_per_chip
+from repro.ipu.programs import Copy, Execute, Sequence
 from repro.ipu.spec import IPUSpec
 
 
@@ -183,6 +183,64 @@ class TestHierarchicalReduce:
         )
         with pytest.raises(GraphConstructionError, match="scalar"):
             build_reduce(graph, source, "min", out, "bad")
+
+
+# Two 2-tile chips whose partial tiles interleave: chips 0, 1, 0, 1.
+_INTERLEAVED = [0, 2, 1, 3]
+_DATA = [3.0, -7.0, 11.0, 2.0, 5.0, -1.0, 0.0, 9.0]
+
+
+def _via_build_reduce(graph, out):
+    source = graph.add_tensor(
+        "src",
+        (len(_DATA),),
+        np.float32,
+        mapping=TileMapping.linear_segments(len(_DATA), 2, _INTERLEAVED),
+    )
+    source.write_host(np.asarray(_DATA, dtype=np.float32))
+    return build_reduce(graph, source, "min", out, "r")
+
+
+def _via_fold_per_chip(graph, out):
+    partials = graph.add_tensor(
+        "r/partials",
+        (len(_INTERLEAVED),),
+        np.float32,
+        mapping=TileMapping.per_element(_INTERLEAVED),
+    )
+    partials.write_host(np.asarray(_DATA, dtype=np.float32).reshape(-1, 2).min(1))
+    codelet = VecReduce("min")
+    final_input, stages = fold_per_chip(
+        graph, partials, codelet, "r/ipu_partials", "r/ipu"
+    )
+    final = graph.add_compute_set("r/final")
+    final.add_vertex(
+        codelet,
+        0,
+        {"data": ComputeGraph.full(final_input), "out": ComputeGraph.full(out)},
+    )
+    return Sequence(*stages, Execute(final))
+
+
+class TestInterleavedChipsStayFlat:
+    @pytest.mark.parametrize("build", [_via_build_reduce, _via_fold_per_chip])
+    def test_final_stage_reads_the_tile_partials(self, build):
+        """With no contiguous per-chip slices there is no per-chip stage:
+        the final stage combines every tile's partial, exactly."""
+        spec = ClusterSpec.toy(num_tiles=2, num_ipus=2).system()
+        assert chip_slices(_INTERLEAVED, spec.num_tiles) is None
+        graph = ComputeGraph(spec)
+        out = graph.add_tensor(
+            "out", (1,), np.float32, mapping=TileMapping.single_tile(1)
+        )
+        program = build(graph, out)
+        Engine(graph, program).run()
+        assert "r/ipu_partials" not in [t.name for t in graph.tensors]
+        assert "r/ipu" not in [cs.name for cs in graph.compute_sets]
+        final = program.programs[-1].compute_set
+        assert final.name == "r/final"
+        assert final.vertices[0].connections["data"].tensor.name == "r/partials"
+        assert float(out.read_host()[0]) == min(_DATA)
 
 
 class TestInterSyncCharging:
