@@ -27,7 +27,7 @@ from repro.bench.recording import BenchScale, RunRecord
 from repro.core.solver import HunIPUSolver
 from repro.data.synthetic import gaussian_instance
 from repro.ipu.codelets import Codelet, CostContext
-from repro.ipu.graph import ComputeGraph, Connection, exchange_account
+from repro.ipu.graph import ComputeGraph
 from repro.ipu.mapping import TileMapping
 from repro.ipu.spec import IPUSpec
 
@@ -70,20 +70,16 @@ def mapping_exchange_bytes(
         mapping=TileMapping.row_blocks((size, 1), range(tiles)),
     )
     compute_set = graph.add_compute_set("probe")
-    probe = _RowProbe()
-    rows_per_tile = size // tiles
-    for tile in range(tiles):
-        for local in range(rows_per_tile):
-            row = tile * rows_per_tile + local
-            compute_set.add_vertex(
-                probe,
-                tile,
-                {
-                    "row": Connection(matrix, row * size, (row + 1) * size),
-                    "out": Connection(sums, row, row + 1),
-                },
-            )
-    return exchange_account(compute_set.vertices, tiles_per_ipu=None).total
+    rows = np.arange(tiles * (size // tiles))  # tile t scans its own rows
+    compute_set.add_vertices(
+        _RowProbe(),
+        rows // (size // tiles),
+        {
+            "row": (matrix, rows * size, (rows + 1) * size),
+            "out": (sums, rows, rows + 1),
+        },
+    )
+    return compute_set.exchange(tiles_per_ipu=None).total
 
 
 def run_ablations(

@@ -185,27 +185,21 @@ def build_compress(graph, state, plan):
     slack update — re-executing a compute set is the static-graph way of
     "calling" it again.
     """
-    from repro.ipu.graph import ComputeGraph
     from repro.ipu.programs import Execute
 
     threads = graph.spec.threads_per_tile
     compute_set = graph.add_compute_set("compress")
-    codelet = CompressRows()
     n = plan.size
-    for index, tile in enumerate(plan.row_tiles):
-        row_start, row_stop = plan.row_block(index)
-        compute_set.add_vertex(
-            codelet,
-            tile,
-            {
-                "block": ComputeGraph.rows(state.slack, row_start, row_stop),
-                "compress": ComputeGraph.rows(state.compress, row_start, row_stop),
-                "zero_count": ComputeGraph.span(
-                    state.zero_count, row_start * threads, row_stop * threads
-                ),
-            },
-            params={"cols": n, "threads": threads, "tol": state.tol},
-        )
+    compute_set.add_vertices(
+        CompressRows(),
+        plan.row_tiles,
+        {
+            "block": (state.slack, *plan.row_regions(n)),
+            "compress": (state.compress, *plan.row_regions(n)),
+            "zero_count": (state.zero_count, *plan.row_regions(threads)),
+        },
+        params={"cols": n, "threads": threads, "tol": state.tol},
+    )
     return Execute(compute_set)
 
 

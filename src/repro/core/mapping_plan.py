@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
+
 from repro.errors import MappingError
 from repro.ipu.mapping import TileMapping
 from repro.ipu.spec import IPUSpec
@@ -137,6 +139,15 @@ class MappingPlan:
         return TileMapping.linear_segments(
             self.size, self.col_segment_size, tiles
         )
+
+    def row_regions(self, width: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """Flat ``(starts, stops)`` of every row tile's block, in
+        ``row_tiles`` order, for a row-major tensor of ``width`` elements
+        per row (``n`` for the matrices, 1 for row state)."""
+        starts = np.arange(self.num_row_tiles, dtype=np.int64) * (
+            self.rows_per_tile * width
+        )
+        return starts, starts + self.rows_per_tile * width
 
     def row_block(self, tile_index: int) -> tuple[int, int]:
         """Global row range ``[start, stop)`` of the ``tile_index``-th tile."""

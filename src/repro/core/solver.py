@@ -141,18 +141,29 @@ class CompiledInstance:
         self.program = Sequence(step1, compress, step2, main)
         self.engine = Engine(self.graph, self.program, mode=engine_mode)
 
-        # Warm path: subtract the seeded potentials, let Step 1 repair the
-        # reduction (exact no-op on a tight seed), then pre-star the
-        # still-feasible previous matching before the τ-sweep.  Shares
-        # every tensor and step sub-program with the cold path; its engine
-        # is compiled lazily so cold-only users never pay for it.
         self._engine_mode: Literal["batched", "per_tile"] = engine_mode
-        seed_subtract = build_seed_subtract(self.graph, state, plan)
-        prestar = build_prestar(self.graph, state, plan)
-        self.warm_program = Sequence(
-            seed_subtract, step1, compress, prestar, step2, main
-        )
+        self._warm_program: Sequence | None = None
         self._warm_engine: Engine | None = None
+
+    @property
+    def warm_program(self) -> Sequence:
+        """The warm-start program (built on first use).
+
+        Subtract the seeded potentials, let Step 1 repair the reduction
+        (exact no-op on a tight seed), then pre-star the still-feasible
+        previous matching before the τ-sweep.  It shares every tensor and
+        step sub-program with the cold path and adds no tensor; its
+        compute sets come after every cold one, so cold-only users never
+        pay for them and the cold ids do not depend on it.
+        """
+        if self._warm_program is None:
+            step1, compress, step2, main = self.program.programs
+            seed_subtract = build_seed_subtract(self.graph, self.state, self.plan)
+            prestar = build_prestar(self.graph, self.state, self.plan)
+            self._warm_program = Sequence(
+                seed_subtract, step1, compress, prestar, step2, main
+            )
+        return self._warm_program
 
     @property
     def warm_engine(self) -> Engine:

@@ -67,35 +67,34 @@ def build_step1(
     cs_col_final = graph.add_compute_set("step1/col_final")
     cs_sub_col = graph.add_compute_set("step1/sub_col")
 
-    row_min = RowMin()
-    sub_row = SubtractRowMin()
-    col_partial = ColPartialMin()
-    sub_col = SubtractColMin()
-    for index, tile in enumerate(plan.row_tiles):
-        row_start, row_stop = plan.row_block(index)
-        block = ComputeGraph.rows(state.slack, row_start, row_stop)
-        mins = ComputeGraph.span(row_mins, row_start, row_stop)
-        cs_row_min.add_vertex(
-            row_min, tile, {"block": block, "mins": mins}, params={"cols": n}
-        )
-        cs_sub_row.add_vertex(
-            sub_row, tile, {"block": block, "mins": mins}, params={"cols": n}
-        )
-        cs_col_partial.add_vertex(
-            col_partial,
-            tile,
-            {
-                "block": block,
-                "partial": ComputeGraph.span(col_partials, index * n, (index + 1) * n),
-            },
-            params={"cols": n},
-        )
-        cs_sub_col.add_vertex(
-            sub_col,
-            tile,
-            {"block": block, "colmin": ComputeGraph.full(col_mins)},
-            params={"cols": n},
-        )
+    row_tiles = plan.row_tiles
+    block = (state.slack, *plan.row_regions(n))
+    mins = (row_mins, *plan.row_regions())
+    partial_blocks = col_partials.require_mapping()
+    cs_row_min.add_vertices(
+        RowMin(), row_tiles, {"block": block, "mins": mins}, params={"cols": n}
+    )
+    cs_sub_row.add_vertices(
+        SubtractRowMin(),
+        row_tiles,
+        {"block": block, "mins": mins},
+        params={"cols": n},
+    )
+    cs_col_partial.add_vertices(
+        ColPartialMin(),
+        row_tiles,
+        {
+            "block": block,
+            "partial": (col_partials, partial_blocks.starts, partial_blocks.stops),
+        },
+        params={"cols": n},
+    )
+    cs_sub_col.add_vertices(
+        SubtractColMin(),
+        row_tiles,
+        {"block": block, "colmin": ComputeGraph.full(col_mins)},
+        params={"cols": n},
+    )
     cs_col_final.add_vertex(
         ColMinCombine(),
         0,

@@ -77,34 +77,31 @@ def build_step2(
         "step2/candidates", (n,), np.int32, mapping=plan.row_state_mapping()
     )
 
-    count = RowZeroSum()
-    sorter = SortRowsDescending()
-    gather = GatherColumn()
-    for index, tile in enumerate(plan.row_tiles):
-        row_start, row_stop = plan.row_block(index)
-        cs_count.add_vertex(
-            count,
-            tile,
-            {
-                "zero_count": ComputeGraph.span(
-                    state.zero_count, row_start * threads, row_stop * threads
-                ),
-                "row_zeros": ComputeGraph.span(state.row_zeros, row_start, row_stop),
-            },
-            params={"threads": threads},
-        )
-        block = ComputeGraph.rows(state.compress, row_start, row_stop)
-        cs_sort.add_vertex(sorter, tile, {"block": block}, params={"cols": n})
-        cs_gather.add_vertex(
-            gather,
-            tile,
-            {
-                "block": block,
-                "index": ComputeGraph.full(state.step2_iter),
-                "out": ComputeGraph.span(candidates, row_start, row_stop),
-            },
-            params={"cols": n},
-        )
+    row_tiles = plan.row_tiles
+    rows = plan.row_regions()
+    block = (state.compress, *plan.row_regions(n))
+    cs_count.add_vertices(
+        RowZeroSum(),
+        row_tiles,
+        {
+            "zero_count": (state.zero_count, *plan.row_regions(threads)),
+            "row_zeros": (state.row_zeros, *rows),
+        },
+        params={"threads": threads},
+    )
+    cs_sort.add_vertices(
+        SortRowsDescending(), row_tiles, {"block": block}, params={"cols": n}
+    )
+    cs_gather.add_vertices(
+        GatherColumn(),
+        row_tiles,
+        {
+            "block": block,
+            "index": ComputeGraph.full(state.step2_iter),
+            "out": (candidates, *rows),
+        },
+        params={"cols": n},
+    )
     cs_greedy.add_vertex(
         GreedyStarColumn(),
         0,

@@ -43,21 +43,15 @@ def build_step3(
 ) -> Program:
     """Build Step 3: cover update + covered-column count + not_done flag."""
     cs_cover = graph.add_compute_set("step3/cover")
-    codelet = CoverFromStar()
     mapping = state.col_star.require_mapping()
-    for interval in mapping.intervals:
-        cs_cover.add_vertex(
-            codelet,
-            interval.tile,
-            {
-                "col_star": ComputeGraph.span(
-                    state.col_star, interval.start, interval.stop
-                ),
-                "col_cover": ComputeGraph.span(
-                    state.col_cover, interval.start, interval.stop
-                ),
-            },
-        )
+    cs_cover.add_vertices(
+        CoverFromStar(),
+        mapping.tiles,
+        {
+            "col_star": (state.col_star, mapping.starts, mapping.stops),
+            "col_cover": (state.col_cover, mapping.starts, mapping.stops),
+        },
+    )
     reduce_covered = build_reduce(
         graph, state.col_cover, "sum", state.covered_count, "step3/covered"
     )
@@ -78,23 +72,14 @@ def build_search_reset(
 ) -> Program:
     """Uncover all rows, erase all primes, and arm the inner search loop."""
     cs_rows = graph.add_compute_set("step3/reset_rows")
-    fill_cover = Fill()
-    fill_prime = Fill()
     cs_primes = graph.add_compute_set("step3/reset_primes")
-    for index, tile in enumerate(plan.row_tiles):
-        row_start, row_stop = plan.row_block(index)
-        cs_rows.add_vertex(
-            fill_cover,
-            tile,
-            {"data": ComputeGraph.span(state.row_cover, row_start, row_stop)},
-            params={"value": 0},
-        )
-        cs_primes.add_vertex(
-            fill_prime,
-            tile,
-            {"data": ComputeGraph.span(state.row_prime, row_start, row_stop)},
-            params={"value": -1},
-        )
+    rows = plan.row_regions()
+    cs_rows.add_vertices(
+        Fill(), plan.row_tiles, {"data": (state.row_cover, *rows)}, params={"value": 0}
+    )
+    cs_primes.add_vertices(
+        Fill(), plan.row_tiles, {"data": (state.row_prime, *rows)}, params={"value": -1}
+    )
     cs_arm = graph.add_compute_set("step3/arm_inner")
     cs_arm.add_vertex(
         WriteScalar(), 0, {"out": ComputeGraph.full(state.inner_cond)},

@@ -103,7 +103,17 @@ class _BoundScan:
     def __init__(self, params, cost: CostContext, tensors) -> None:
         self.cols = int(params["cols"][0])
         self.threads = int(params["threads"][0])
-        self.bounds = segment_bounds(self.cols, self.threads)
+        # Each column's segment and its rank within it: slot ``c`` of a
+        # row is populated iff ``rank[c] < zero_count[segment[c]]``.
+        self.segment = np.empty(self.cols, dtype=np.intp)
+        self.rank = np.empty(self.cols, dtype=np.intp)
+        for thread, (start, stop) in enumerate(
+            segment_bounds(self.cols, self.threads)
+        ):
+            self.segment[start:stop] = thread
+            self.rank[start:stop] = np.arange(stop - start)
+        self.row_length = 0  # of the codes buffer, allocated by ``_gather``
+        self.open: np.ndarray | None = None
         self.row0 = params["row0"].astype(np.int64)
         self.full_scan = (
             params.get("full_scan") is not None and params["full_scan"][0]
@@ -214,13 +224,8 @@ class _BoundScan:
         counts = views["zero_count"]
         # Touch only each segment's populated front slots — the
         # compression payoff: work scales with the zero count, not n.
-        occupancy = counts.reshape(-1, threads).max(axis=0).tolist()
-        take = np.concatenate(
-            [
-                np.arange(start, start + occ)
-                for (start, _), occ in zip(self.bounds, occupancy)
-            ]
-        )
+        occupancy = counts.reshape(-1, threads).max(axis=0)
+        take = np.flatnonzero(self.rank < occupancy[self.segment])
         listed = compress.reshape(-1, cols)[:, take]
         status_cycles, row_scan_cycles = _row_cycles(cost, rows)
         if self.full_scan:
@@ -238,17 +243,19 @@ class _BoundScan:
         # each row's first open entry (flat order within a row is slot
         # order); its code, or -1 for the closer, is the row's zero column.
         length = listed.shape[1] + 1
-        codes = np.empty((len(listed), length), dtype=listed.dtype)
-        codes[:, :-1] = listed
-        codes[:, -1] = -2
-        self.codes = codes.reshape(-1)
-        self.row_length = length
-        width = len(covers)
-        self.open = np.empty(width + 2, dtype=covers.dtype)
-        self.open[:width] = covers
-        self.open[width:] = (0, 1)  # codes -2 and -1 index these two
-        self.open_cols = self.open[:width]
-        self.base = np.arange(0, len(self.codes), length)
+        if length != self.row_length:
+            self.row_length = length
+            codes = np.empty((len(listed), length), dtype=listed.dtype)
+            codes[:, -1] = -2
+            self.codes = codes.reshape(-1)
+            self.base = np.arange(0, len(self.codes), length)
+        self.codes.reshape(-1, length)[:, :-1] = listed
+        if self.open is None:
+            width = len(covers)
+            self.open = np.empty(width + 2, dtype=covers.dtype)
+            self.open[width:] = (0, 1)  # codes -2 and -1 index these two
+            self.open_cols = self.open[:width]
+        self.open_cols[:] = covers
         self.first = self._first_open()
 
     def _refresh(self, covers) -> list[int] | None:
@@ -447,34 +454,29 @@ def build_step4(
     cs_scan = graph.add_compute_set("step4/status_scan")
     cs_final = graph.add_compute_set("step4/argmax_final")
 
-    scan = ZeroStatusScan()
     threads = graph.spec.threads_per_tile
-    for index, tile in enumerate(plan.row_tiles):
-        row_start, row_stop = plan.row_block(index)
-        cs_scan.add_vertex(
-            scan,
-            tile,
-            {
-                "compress": ComputeGraph.rows(state.compress, row_start, row_stop),
-                "zero_count": ComputeGraph.span(
-                    state.zero_count, row_start * threads, row_stop * threads
-                ),
-                "row_cover": ComputeGraph.span(state.row_cover, row_start, row_stop),
-                "row_star": ComputeGraph.span(state.row_star, row_start, row_stop),
-                "col_cover": ComputeGraph.full(state.col_cover),
-                "zero_status": ComputeGraph.span(
-                    state.zero_status, row_start, row_stop
-                ),
-                "zero_col": ComputeGraph.span(state.zero_col, row_start, row_stop),
-                "partial": ComputeGraph.span(partials, index * 4, (index + 1) * 4),
-            },
-            params={
-                "cols": n,
-                "threads": threads,
-                "row0": row_start,
-                "full_scan": 0 if use_compression else 1,
-            },
-        )
+    rows = plan.row_regions()
+    partial_regions = partials.require_mapping()
+    cs_scan.add_vertices(
+        ZeroStatusScan(),
+        plan.row_tiles,
+        {
+            "compress": (state.compress, *plan.row_regions(n)),
+            "zero_count": (state.zero_count, *plan.row_regions(threads)),
+            "row_cover": (state.row_cover, *rows),
+            "row_star": (state.row_star, *rows),
+            "col_cover": ComputeGraph.full(state.col_cover),
+            "zero_status": (state.zero_status, *rows),
+            "zero_col": (state.zero_col, *rows),
+            "partial": (partials, partial_regions.starts, partial_regions.stops),
+        },
+        params={
+            "cols": n,
+            "threads": threads,
+            "row0": rows[0],
+            "full_scan": 0 if use_compression else 1,
+        },
+    )
     # Hierarchical arg-max (§IV-F on a cluster): the lexicographic order is
     # associative over distinct rows — same selection, same branches, bit
     # for bit.
@@ -505,37 +507,31 @@ def build_prime_update(
 ) -> Program:
     """Build the max-status-0 action: prime, cover row, uncover star column."""
     cs_rows = graph.add_compute_set("step4/prime_rows")
-    prime = PrimeRowUpdate()
-    for index, tile in enumerate(plan.row_tiles):
-        row_start, row_stop = plan.row_block(index)
-        cs_rows.add_vertex(
-            prime,
-            tile,
-            {
-                "sel": ComputeGraph.full(state.sel),
-                "row_prime": ComputeGraph.span(state.row_prime, row_start, row_stop),
-                "row_cover": ComputeGraph.span(state.row_cover, row_start, row_stop),
-            },
-            params={"start": row_start},
-        )
+    rows = plan.row_regions()
+    cs_rows.add_vertices(
+        PrimeRowUpdate(),
+        plan.row_tiles,
+        {
+            "sel": ComputeGraph.full(state.sel),
+            "row_prime": (state.row_prime, *rows),
+            "row_cover": (state.row_cover, *rows),
+        },
+        params={"start": rows[0]},
+    )
     cs_cols = graph.add_compute_set("step4/prime_cols")
-    store = DynStore()
     mapping = state.col_cover.require_mapping()
-    for interval in mapping.intervals:
-        cs_cols.add_vertex(
-            store,
-            interval.tile,
-            {
-                "sel": ComputeGraph.full(state.sel),
-                "data": ComputeGraph.span(
-                    state.col_cover, interval.start, interval.stop
-                ),
-            },
-            params={
-                "start": interval.start,
-                "index_slot": 3,
-                "value_slot": -1,
-                "const_value": 0,
-            },
-        )
+    cs_cols.add_vertices(
+        DynStore(),
+        mapping.tiles,
+        {
+            "sel": ComputeGraph.full(state.sel),
+            "data": (state.col_cover, mapping.starts, mapping.stops),
+        },
+        params={
+            "start": mapping.starts,
+            "index_slot": 3,
+            "value_slot": -1,
+            "const_value": 0,
+        },
+    )
     return Sequence(Execute(cs_rows), Execute(cs_cols))

@@ -145,26 +145,24 @@ def _build_dyn_slice(
 ) -> tuple[Program, Tensor]:
     """Fig. 4's scatter phase: one slice vertex per segment of ``source``."""
     mapping = source.require_mapping()
-    intervals = mapping.intervals
     cands = graph.add_tensor(
         f"{name}/cands",
-        (len(intervals),),
+        (len(mapping),),
         np.int32,
-        mapping=TileMapping.per_element([iv.tile for iv in intervals]),
+        mapping=TileMapping.per_element(mapping.tiles.tolist()),
     )
     compute_set = graph.add_compute_set(name)
-    codelet = DynSliceSegment()
-    for index, interval in enumerate(intervals):
-        compute_set.add_vertex(
-            codelet,
-            interval.tile,
-            {
-                "state": ComputeGraph.full(state_tensor),
-                "data": ComputeGraph.span(source, interval.start, interval.stop),
-                "out": ComputeGraph.span(cands, index, index + 1),
-            },
-            params={"start": interval.start, "slot": slot},
-        )
+    index = np.arange(len(mapping))
+    compute_set.add_vertices(
+        DynSliceSegment(),
+        mapping.tiles,
+        {
+            "state": ComputeGraph.full(state_tensor),
+            "data": (source, mapping.starts, mapping.stops),
+            "out": (cands, index, index + 1),
+        },
+        params={"start": mapping.starts, "slot": slot},
+    )
     return Execute(compute_set), cands
 
 
@@ -249,30 +247,24 @@ def build_step5(
         },
     )
     cs_star_rows = graph.add_compute_set("step5/star_rows")
-    store_row = DynStore()
-    for index, tile in enumerate(plan.row_tiles):
-        row_start, row_stop = plan.row_block(index)
-        cs_star_rows.add_vertex(
-            store_row,
-            tile,
-            {
-                "sel": ComputeGraph.full(state.aug_sel),
-                "data": ComputeGraph.span(state.row_star, row_start, row_stop),
-            },
-            params={"start": row_start, "index_slot": 0, "value_slot": 1},
-        )
+    rows = plan.row_regions()
+    cs_star_rows.add_vertices(
+        DynStore(),
+        plan.row_tiles,
+        {"sel": ComputeGraph.full(state.aug_sel), "data": (state.row_star, *rows)},
+        params={"start": rows[0], "index_slot": 0, "value_slot": 1},
+    )
     cs_star_cols = graph.add_compute_set("step5/star_cols")
-    store_col = DynStore()
-    for interval in state.col_star.require_mapping().intervals:
-        cs_star_cols.add_vertex(
-            store_col,
-            interval.tile,
-            {
-                "sel": ComputeGraph.full(state.aug_sel),
-                "data": ComputeGraph.span(state.col_star, interval.start, interval.stop),
-            },
-            params={"start": interval.start, "index_slot": 1, "value_slot": 0},
-        )
+    cols = state.col_star.require_mapping()
+    cs_star_cols.add_vertices(
+        DynStore(),
+        cols.tiles,
+        {
+            "sel": ComputeGraph.full(state.aug_sel),
+            "data": (state.col_star, cols.starts, cols.stops),
+        },
+        params={"start": cols.starts, "index_slot": 1, "value_slot": 0},
+    )
     cs_end = graph.add_compute_set("step5/end_inner")
     cs_end.add_vertex(
         WriteScalar(), 0, {"out": ComputeGraph.full(state.inner_cond)},

@@ -98,35 +98,32 @@ def build_step6(
     )
     cs_partial = graph.add_compute_set("step6/min_partial")
     cs_update = graph.add_compute_set("step6/update")
-    partial = UncoveredMinPartial()
-    update = SlackUpdate()
-    for index, tile in enumerate(plan.row_tiles):
-        row_start, row_stop = plan.row_block(index)
-        block = ComputeGraph.rows(state.slack, row_start, row_stop)
-        row_cover = ComputeGraph.span(state.row_cover, row_start, row_stop)
-        col_cover = ComputeGraph.full(state.col_cover)
-        cs_partial.add_vertex(
-            partial,
-            tile,
-            {
-                "block": block,
-                "row_cover": row_cover,
-                "col_cover": col_cover,
-                "partial": ComputeGraph.span(partials, index, index + 1),
-            },
-            params={"cols": n},
-        )
-        cs_update.add_vertex(
-            update,
-            tile,
-            {
-                "block": block,
-                "row_cover": row_cover,
-                "col_cover": col_cover,
-                "delta": ComputeGraph.full(state.delta),
-            },
-            params={"cols": n},
-        )
+    block = (state.slack, *plan.row_regions(n))
+    row_cover = (state.row_cover, *plan.row_regions())
+    col_cover = ComputeGraph.full(state.col_cover)
+    index = np.arange(tiles)
+    cs_partial.add_vertices(
+        UncoveredMinPartial(),
+        plan.row_tiles,
+        {
+            "block": block,
+            "row_cover": row_cover,
+            "col_cover": col_cover,
+            "partial": (partials, index, index + 1),
+        },
+        params={"cols": n},
+    )
+    cs_update.add_vertices(
+        SlackUpdate(),
+        plan.row_tiles,
+        {
+            "block": block,
+            "row_cover": row_cover,
+            "col_cover": col_cover,
+            "delta": ComputeGraph.full(state.delta),
+        },
+        params={"cols": n},
+    )
     reduce_delta = build_reduce(
         graph, partials, "min", state.delta, "step6/delta"
     )

@@ -66,26 +66,19 @@ def build_seed_subtract(
     n = plan.size
     cs_sub_row = graph.add_compute_set("warm/sub_row_potential")
     cs_sub_col = graph.add_compute_set("warm/sub_col_potential")
-    sub_row = SubtractRowMin()
-    sub_col = SubtractColMin()
-    for index, tile in enumerate(plan.row_tiles):
-        row_start, row_stop = plan.row_block(index)
-        block = ComputeGraph.rows(state.slack, row_start, row_stop)
-        cs_sub_row.add_vertex(
-            sub_row,
-            tile,
-            {
-                "block": block,
-                "mins": ComputeGraph.span(state.row_potential, row_start, row_stop),
-            },
-            params={"cols": n},
-        )
-        cs_sub_col.add_vertex(
-            sub_col,
-            tile,
-            {"block": block, "colmin": ComputeGraph.full(state.col_potential)},
-            params={"cols": n},
-        )
+    block = (state.slack, *plan.row_regions(n))
+    cs_sub_row.add_vertices(
+        SubtractRowMin(),
+        plan.row_tiles,
+        {"block": block, "mins": (state.row_potential, *plan.row_regions())},
+        params={"cols": n},
+    )
+    cs_sub_col.add_vertices(
+        SubtractColMin(),
+        plan.row_tiles,
+        {"block": block, "colmin": ComputeGraph.full(state.col_potential)},
+        params={"cols": n},
+    )
     return Sequence(Execute(cs_sub_row), Execute(cs_sub_col))
 
 
@@ -96,19 +89,17 @@ def build_prestar(
     n = plan.size
     cs_feasible = graph.add_compute_set("warm/seed_feasible")
     cs_star = graph.add_compute_set("warm/seed_star")
-    feasible = SeedFeasible()
-    for index, tile in enumerate(plan.row_tiles):
-        row_start, row_stop = plan.row_block(index)
-        cs_feasible.add_vertex(
-            feasible,
-            tile,
-            {
-                "block": ComputeGraph.rows(state.slack, row_start, row_stop),
-                "seed": ComputeGraph.span(state.seed_star, row_start, row_stop),
-                "out": ComputeGraph.span(state.seed_cand, row_start, row_stop),
-            },
-            params={"cols": n, "tol": state.tol},
-        )
+    rows = plan.row_regions()
+    cs_feasible.add_vertices(
+        SeedFeasible(),
+        plan.row_tiles,
+        {
+            "block": (state.slack, *plan.row_regions(n)),
+            "seed": (state.seed_star, *rows),
+            "out": (state.seed_cand, *rows),
+        },
+        params={"cols": n, "tol": state.tol},
+    )
     cs_star.add_vertex(
         GreedyStarColumn(),
         0,

@@ -34,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.check.checker import CheckConfig
     from repro.check.report import CheckReport
 from repro.ipu.codelets import Codelet, CostContext
-from repro.ipu.graph import ComputeGraph, ComputeSet, Connection, Vertex, exchange_account
+from repro.ipu.graph import ComputeGraph, ComputeSet, FieldColumns
 from repro.ipu.programs import Copy, Program
 from repro.ipu.spec import IPUSpec
 from repro.ipu.tensor import Tensor
@@ -102,6 +102,9 @@ class ExecutionPlan:
     #: Tensors some vertex writes (``out``/``inout`` fields), in first-write
     #: order; the engine bumps their :attr:`~repro.ipu.tensor.Tensor.writes`.
     written: tuple[Tensor, ...] = ()
+    #: Sorted distinct codelet names joined by ``/`` (the label of a
+    #: codelet fault).
+    codelet_names: str = ""
     _slot_keys: np.ndarray | None = dataclasses.field(default=None, repr=False)
     _single_slot_per_key: bool = dataclasses.field(default=False, repr=False)
 
@@ -257,8 +260,9 @@ def _reachable_compute_sets(
     graph: ComputeGraph, program: Program
 ) -> tuple[ComputeSet, ...]:
     reachable: dict[int, ComputeSet] = {}
+    owned = set(graph.compute_sets)
     for compute_set in program.compute_sets():
-        if graph.compute_sets and compute_set not in graph.compute_sets:
+        if owned and compute_set not in owned:
             raise CompilationError(
                 f"compute set {compute_set.name!r} does not belong to this graph"
             )
@@ -318,47 +322,57 @@ def _check_copies(program: Program) -> None:
 def _check_vertices(
     graph: ComputeGraph, compute_set: ComputeSet, spec: IPUSpec
 ) -> None:
-    if not compute_set.vertices:
+    if not compute_set.blocks:
         raise CompilationError(
             f"compute set {compute_set.name!r} has no vertices"
         )
-    for vertex in compute_set.vertices:
-        if vertex.tile >= spec.total_tiles:
-            raise CompilationError(
-                f"vertex of {vertex.codelet.name} in {compute_set.name!r} "
-                f"placed on tile {vertex.tile}, system has {spec.total_tiles}"
+    for block in compute_set.blocks:
+        beyond = np.flatnonzero(block.tiles >= spec.total_tiles)
+
+        def tile_error() -> CompilationError:
+            return CompilationError(
+                f"vertex of {block.codelet.name} in {compute_set.name!r} "
+                f"placed on tile {block.tiles[beyond[0]]}, system has "
+                f"{spec.total_tiles}"
             )
-        for field, connection in vertex.connections.items():
-            if connection.tensor.graph_id != graph.graph_id:
+
+        # Vertex by vertex: the block's first vertex's tile, then its
+        # fields (every vertex of a block shares the tensors), then the
+        # remaining tiles.
+        if len(beyond) and beyond[0] == 0:
+            raise tile_error()
+        for field, (tensor, _, _) in block.connections.items():
+            if tensor.graph_id != graph.graph_id:
                 raise CompilationError(
                     f"vertex field {field!r} in {compute_set.name!r} connects "
-                    f"to tensor {connection.tensor.name!r} from another graph"
+                    f"to tensor {tensor.name!r} from another graph"
                 )
-            connection.tensor.require_mapping()
+            tensor.require_mapping()
+        if len(beyond):
+            raise tile_error()
 
 
 def _check_write_overlaps(compute_set: ComputeSet) -> tuple[Tensor, ...]:
-    """Reject overlapping write regions; return the tensors written."""
-    regions: dict[str, list[tuple[int, int]]] = {}
-    written: list[Tensor] = []
-    for vertex in compute_set.vertices:
-        for field, connection in vertex.connections.items():
-            if vertex.codelet.fields[field] == "in":
-                continue
-            spans = regions.get(connection.tensor.name)
-            if spans is None:
-                spans = regions[connection.tensor.name] = []
-                written.append(connection.tensor)
-            spans.append((connection.start, connection.stop))
-    for tensor_name, spans in regions.items():
-        spans.sort()
-        for (_, prev_stop), (next_start, _) in zip(spans, spans[1:]):
-            if next_start < prev_stop:
-                raise CompilationError(
-                    f"compute set {compute_set.name!r} has overlapping write "
-                    f"regions on tensor {tensor_name!r} (data race, C1)"
-                )
-    return tuple(written)
+    """Reject overlapping write regions; return the tensors written.
+
+    Per written tensor, the regions sorted by start overlap somewhere iff
+    some region starts before its predecessor stops.
+    """
+    regions: dict[Tensor, list[tuple[np.ndarray, np.ndarray]]] = {}
+    for block in compute_set.blocks:
+        directions = block.codelet.fields
+        for field, (tensor, starts, stops) in block.connections.items():
+            if directions[field] != "in":
+                regions.setdefault(tensor, []).append((starts, stops))
+    for tensor, parts in regions.items():
+        starts, stops = (np.concatenate(column) for column in zip(*parts))
+        order = np.argsort(starts, kind="stable")
+        if (starts[order[1:]] < stops[order[:-1]]).any():
+            raise CompilationError(
+                f"compute set {compute_set.name!r} has overlapping write "
+                f"regions on tensor {tensor.name!r} (data race, C1)"
+            )
+    return tuple(regions)
 
 
 # ----------------------------------------------------------------------
@@ -367,13 +381,14 @@ def _check_write_overlaps(compute_set: ComputeSet) -> tuple[Tensor, ...]:
 
 
 def _build_plan(compute_set: ComputeSet, spec: IPUSpec) -> ExecutionPlan:
-    vertices = compute_set.vertices
+    blocks = compute_set.blocks
     tiles_per_ipu = spec.num_tiles if spec.num_ipus > 1 else None
-    account = exchange_account(vertices, tiles_per_ipu)
-    vertex_tiles = np.array([vertex.tile for vertex in vertices], dtype=np.int64)
+    account = compute_set.exchange(tiles_per_ipu)
+    vertex_tiles = compute_set.tiles
     ipus = (0,)
     if tiles_per_ipu is not None:
         ipus = tuple(np.unique(vertex_tiles // tiles_per_ipu).tolist())
+    names = compute_set.codelets
 
     def plan(codelet, field_plans, param_arrays) -> ExecutionPlan:
         return ExecutionPlan(
@@ -387,44 +402,48 @@ def _build_plan(compute_set: ComputeSet, spec: IPUSpec) -> ExecutionPlan:
             _assign_worker_slots(vertex_tiles, spec.threads_per_tile),
             account.by_tensor,
             ipus,
+            codelet_names="/".join(sorted(names)),
         )
 
-    codelet_names = {vertex.codelet.name for vertex in vertices}
-    if len(codelet_names) != 1:
+    if len(names) != 1:
         return plan(None, {}, {})
-    codelet = vertices[0].codelet
+    codelet = blocks[0].codelet
 
     field_plans: dict[str, FieldPlan] = {}
     for field, direction in codelet.fields.items():
-        field_plan = _plan_field(vertices, field, direction)
+        field_plan = _plan_field(
+            [block.connections[field] for block in blocks], direction
+        )
         if field_plan is None:
             return plan(None, {}, {})
         field_plans[field] = field_plan
 
-    param_names: set[str] = set()
-    for vertex in vertices:
-        param_names.update(vertex.params)
+    param_names = sorted({name for block in blocks for name in block.params})
     param_arrays = {
-        name: np.array(
-            [vertex.params.get(name, 0) for vertex in vertices], dtype=np.float64
+        name: np.concatenate(
+            [
+                np.broadcast_to(
+                    np.asarray(block.params.get(name, 0), dtype=np.float64),
+                    block.tiles.shape,
+                )
+                for block in blocks
+            ]
         )
-        for name in sorted(param_names)
+        for name in param_names
     }
     return plan(codelet, field_plans, param_arrays)
 
 
-def _plan_field(
-    vertices: list[Vertex], field: str, direction: str
-) -> FieldPlan | None:
-    connections: list[Connection] = [v.connections[field] for v in vertices]
-    tensors = {connection.tensor.name for connection in connections}
-    if len(tensors) != 1:
+def _plan_field(columns: list[FieldColumns], direction: str) -> FieldPlan | None:
+    """A batch view of one field's regions across the blocks, if any."""
+    tensor = columns[0][0]
+    if any(other.name != tensor.name for other, _, _ in columns):
         return None
-    lengths = {connection.length for connection in connections}
-    if len(lengths) != 1:
+    starts = np.concatenate([starts for _, starts, _ in columns])
+    lengths = np.concatenate([stops - starts for _, starts, stops in columns])
+    length = int(lengths[0])
+    if (lengths != length).any():
         return None
-    length = lengths.pop()
-    starts = np.array([connection.start for connection in connections], dtype=np.int64)
     broadcast = (
         direction == "in"
         and len(starts) > 1
@@ -436,19 +455,23 @@ def _plan_field(
     if not (broadcast or contiguous):
         return None
     return FieldPlan(
-        tensor=connections[0].tensor,
-        starts=starts,
-        length=length,
-        broadcast=broadcast,
+        tensor=tensor, starts=starts, length=length, broadcast=broadcast
     )
 
 
 def _assign_worker_slots(vertex_tiles: np.ndarray, threads: int) -> np.ndarray:
-    """Deal same-tile vertices round-robin onto worker threads."""
-    slots = np.zeros(len(vertex_tiles), dtype=np.int64)
-    seen: dict[int, int] = {}
-    for index, tile in enumerate(vertex_tiles):
-        count = seen.get(int(tile), 0)
-        slots[index] = count % threads
-        seen[int(tile)] = count + 1
+    """Deal same-tile vertices round-robin onto worker threads.
+
+    A vertex's slot is its rank among the earlier vertices on its tile,
+    modulo ``threads``: a stable sort groups each tile's vertices in
+    placement order, and the rank is the offset from the group's head.
+    """
+    order = np.argsort(vertex_tiles, kind="stable")
+    grouped = vertex_tiles[order]
+    position = np.arange(len(grouped))
+    head = np.ones(len(grouped), dtype=bool)
+    head[1:] = grouped[1:] != grouped[:-1]
+    rank = position - np.maximum.accumulate(np.where(head, position, 0))
+    slots = np.empty(len(vertex_tiles), dtype=np.int64)
+    slots[order] = rank % threads
     return slots

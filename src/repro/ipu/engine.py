@@ -330,9 +330,7 @@ class Engine:
         spec = self.compiled.spec
         cost = self.compiled.cost_context
         name = compute_set.name
-        codelet_name = "/".join(
-            sorted({vertex.codelet.name for vertex in compute_set.vertices})
-        )
+        codelet_name = plan.codelet_names
         if plan.batched and self.mode == "batched":
             kernel = plan.codelet.bind(
                 plan.param_arrays,
@@ -343,7 +341,7 @@ class Engine:
         else:
             kernel = self._bind_per_vertex(plan)
             views = None
-        shape = (len(compute_set.vertices),)
+        shape = (len(plan.vertex_tiles),)
         overhead = cost.vertex_overhead_cycles
         slowest_slot = plan.slowest_slot(overhead)
         clock_hz = spec.clock_hz

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from repro.ipu.tensor import Tensor
 __all__ = [
     "Connection",
     "Vertex",
+    "VertexBlock",
     "ExchangeAccount",
     "exchange_account",
     "ComputeSet",
@@ -34,20 +35,25 @@ __all__ = [
 _graph_ids = itertools.count()
 
 
-@dataclasses.dataclass(frozen=True)
-class Connection:
-    """A vertex field wired to flat elements ``[start, stop)`` of a tensor."""
-
+class _Region(NamedTuple):
     tensor: Tensor
     start: int
     stop: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.start < self.stop <= self.tensor.size:
-            raise GraphConstructionError(
-                f"connection [{self.start}, {self.stop}) out of bounds for "
-                f"tensor {self.tensor.name!r} of size {self.tensor.size}"
-            )
+
+class Connection(_Region):
+    """A vertex field wired to flat elements ``[start, stop)`` of a tensor.
+
+    A ``(tensor, start, stop)`` triple, so it is also a one-vertex (or
+    shared) region in :meth:`ComputeSet.add_vertices`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, tensor: Tensor, start: int, stop: int) -> "Connection":
+        if not 0 <= start < stop <= tensor.size:
+            raise _region_error(tensor, start, stop)
+        return super().__new__(cls, tensor, start, stop)
 
     @property
     def length(self) -> int:
@@ -58,6 +64,35 @@ class Connection:
         return self.length * self.tensor.dtype.itemsize
 
 
+def _region_error(tensor: Tensor, start: int, stop: int) -> GraphConstructionError:
+    return GraphConstructionError(
+        f"connection [{start}, {stop}) out of bounds for "
+        f"tensor {tensor.name!r} of size {tensor.size}"
+    )
+
+
+def _tile_error(tile: int) -> GraphConstructionError:
+    return GraphConstructionError(f"negative tile id {tile}")
+
+
+def _fields_error(
+    codelet: Codelet, fields: Iterable[str]
+) -> GraphConstructionError | None:
+    expected = set(codelet.fields)
+    got = set(fields)
+    if expected == got:
+        return None
+    return GraphConstructionError(
+        f"vertex of {codelet.name} connects fields {sorted(got)} "
+        f"but the codelet declares {sorted(expected)}"
+    )
+
+
+#: One field's regions as columns: ``(tensor, starts, stops)``, each
+#: ``(k,)`` ``int64`` array holding one region per vertex of a block.
+FieldColumns = tuple[Tensor, np.ndarray, np.ndarray]
+
+
 @dataclasses.dataclass(frozen=True)
 class Vertex:
     """One codelet instance placed on ``tile``.
@@ -65,6 +100,8 @@ class Vertex:
     ``connections`` maps each codelet field to a :class:`Connection`;
     ``params`` holds per-vertex compile-time scalars (segment bounds, row
     offsets...) that become parameter arrays in the batched compute call.
+    Compute sets store vertices as columns (:class:`VertexBlock`); a
+    ``Vertex`` is the one-vertex view of them.
     """
 
     codelet: Codelet
@@ -74,13 +111,21 @@ class Vertex:
 
     def __post_init__(self) -> None:
         if self.tile < 0:
-            raise GraphConstructionError(f"negative tile id {self.tile}")
-        expected = set(self.codelet.fields)
-        got = set(self.connections)
-        if expected != got:
-            raise GraphConstructionError(
-                f"vertex of {self.codelet.name} connects fields {sorted(got)} "
-                f"but the codelet declares {sorted(expected)}"
+            raise _tile_error(self.tile)
+        error = _fields_error(self.codelet, self.connections)
+        if error is not None:
+            raise error
+
+    def field_columns(self) -> Iterator[tuple[Tensor, np.ndarray, ...]]:
+        """This vertex's connections as :func:`exchange_account` columns."""
+        tiles = np.array([self.tile], dtype=np.int64)
+        for slot, connection in enumerate(self.connections.values()):
+            yield (
+                connection.tensor,
+                np.array([connection.start], dtype=np.int64),
+                np.array([connection.stop], dtype=np.int64),
+                tiles,
+                np.array([slot], dtype=np.int64),
             )
 
     def exchange_bytes(self) -> int:
@@ -91,7 +136,7 @@ class Vertex:
         written back (outputs) through the exchange.  This is the static
         quantity the Poplar compiler plans ahead of time.
         """
-        return exchange_account((self,), tiles_per_ipu=None).total
+        return exchange_account(self.field_columns(), tiles_per_ipu=None).total
 
     def exchange_bytes_split(
         self, tiles_per_ipu: int | None
@@ -102,7 +147,7 @@ class Vertex:
         a different chip than the vertex (chip = ``tile // tiles_per_ipu``);
         pass ``None`` for single-IPU accounting (inter is then 0).
         """
-        account = exchange_account((self,), tiles_per_ipu)
+        account = exchange_account(self.field_columns(), tiles_per_ipu)
         return account.total, account.inter_ipu
 
 
@@ -121,30 +166,31 @@ class ExchangeAccount:
 
 
 def exchange_account(
-    vertices: Iterable[Vertex], tiles_per_ipu: int | None
+    columns: Iterable[tuple[Tensor, np.ndarray, ...]], tiles_per_ipu: int | None
 ) -> ExchangeAccount:
-    """Exchange bytes of ``vertices`` in one pass per connected tensor.
+    """Exchange bytes of connection ``columns`` in one pass per tensor.
 
-    A connected interval resident on the vertex's own tile is local; every
-    other overlapping interval crosses the fabric, and crosses an IPU-Link
-    too when its chip (``tile // tiles_per_ipu``) differs from the
-    vertex's.  Connections are grouped by tensor and each group is counted
-    with one vectorized :meth:`TileMapping.foreign_elements` call, so a
-    compute set costs O(connections + overlaps) numpy work instead of a
-    Python scan of every mapping interval per connection.
+    Each column is ``(tensor, starts, stops, tiles, order)``: aligned
+    ``int64`` arrays of regions, the tile of the vertex reading each one,
+    and each connection's rank in vertex-by-vertex, field-by-field order
+    (which orders ``by_tensor``).  A connected interval resident on the
+    vertex's own tile is local; every other overlapping interval crosses
+    the fabric, and crosses an IPU-Link too when its chip
+    (``tile // tiles_per_ipu``) differs from the vertex's.  Columns are
+    grouped by tensor and each group is counted with one vectorized
+    :meth:`TileMapping.foreign_elements` call, so a compute set costs
+    O(connections + overlaps) numpy work.
     """
-    rows: dict[Tensor, list[tuple[int, int, int, int]]] = {}
-    order = itertools.count()
-    for vertex in vertices:
-        for connection in vertex.connections.values():
-            rows.setdefault(connection.tensor, []).append(
-                (connection.start, connection.stop, vertex.tile, next(order))
-            )
+    grouped: dict[Tensor, list[tuple[np.ndarray, ...]]] = {}
+    for tensor, *arrays in columns:
+        grouped.setdefault(tensor, []).append(arrays)
     total = 0
     inter_ipu = 0
     first_moved: list[tuple[int, str, int]] = []
-    for tensor, tensor_rows in rows.items():
-        starts, stops, tiles, positions = np.array(tensor_rows, dtype=np.int64).T
+    for tensor, parts in grouped.items():
+        starts, stops, tiles, order = (
+            np.concatenate(column) for column in zip(*parts)
+        )
         foreign, inter = tensor.require_mapping().foreign_elements(
             starts, stops, tiles, tiles_per_ipu
         )
@@ -153,26 +199,144 @@ def exchange_account(
             continue
         total += moved
         inter_ipu += int(inter.sum()) * tensor.dtype.itemsize
-        first = int(positions[np.flatnonzero(foreign)[0]])
-        first_moved.append((first, tensor.name, moved))
+        first_moved.append((int(order[foreign > 0].min()), tensor.name, moved))
     by_tensor: dict[str, int] = {}
     for _, name, moved in sorted(first_moved):
         by_tensor[name] = by_tensor.get(name, 0) + moved
     return ExchangeAccount(total, inter_ipu, by_tensor)
 
 
+@dataclasses.dataclass(frozen=True)
+class VertexBlock:
+    """The vertices one :meth:`ComputeSet.add_vertices` call placed.
+
+    Vertex ``i`` of the block runs ``codelet`` on ``tiles[i]``; field
+    ``f`` reads ``connections[f] = (tensor, starts, stops)`` at
+    ``[starts[i], stops[i])``, and param ``p`` is ``params[p]`` (a scalar
+    every vertex shares) or ``params[p][i]``.  ``offset`` is the index of
+    the block's first vertex in its compute set.
+    """
+
+    codelet: Codelet
+    tiles: np.ndarray
+    connections: dict[str, FieldColumns]
+    params: dict[str, object]
+    offset: int
+
+    def vertices(self) -> Iterator[Vertex]:
+        """The block as one :class:`Vertex` per column entry."""
+        for index, tile in enumerate(self.tiles.tolist()):
+            yield Vertex(
+                self.codelet,
+                tile,
+                {
+                    field: Connection(tensor, starts.item(index), stops.item(index))
+                    for field, (tensor, starts, stops) in self.connections.items()
+                },
+                {
+                    name: value if np.ndim(value) == 0 else value.item(index)
+                    for name, value in self.params.items()
+                },
+            )
+
+
+def _column(value, count: int, what: str) -> np.ndarray:
+    """``value`` as a fresh ``(count,)`` array; a scalar is shared."""
+    if np.ndim(value) == 0:
+        return np.full(count, value, dtype=np.int64)
+    column = np.array(value, dtype=np.int64)
+    if column.shape != (count,):
+        raise GraphConstructionError(
+            f"{what} has shape {column.shape}, expected a scalar or ({count},)"
+        )
+    return column
+
+
+def _param_column(value, count: int, name: str) -> np.ndarray:
+    """A per-vertex param as a ``(count,)`` array of its own dtype."""
+    column = np.array(value)
+    if column.shape != (count,):
+        raise GraphConstructionError(
+            f"param {name!r} has shape {column.shape}, expected a scalar or "
+            f"({count},)"
+        )
+    return column
+
+
+def _first(mask: np.ndarray) -> int | None:
+    """Index of the first true entry of ``mask``, or ``None``."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if len(hits) else None
+
+
 class ComputeSet:
     """A group of vertices executing in one BSP superstep.
 
-    Poplar guarantees no two vertices in a compute set race on a tensor; the
-    compiler enforces a conservative version of that here (write regions
-    must not overlap across vertices).
+    Vertices are stored as columns, one :class:`VertexBlock` per
+    :meth:`add_vertices` call, in call order; :attr:`vertices` is a
+    per-vertex view built on first access.  Poplar guarantees no two
+    vertices in a compute set race on a tensor; the compiler enforces a
+    conservative version of that here (write regions must not overlap
+    across vertices).
     """
 
     def __init__(self, name: str, cs_id: int) -> None:
         self.name = name
         self.cs_id = cs_id
-        self.vertices: list[Vertex] = []
+        self.blocks: list[VertexBlock] = []
+        self.num_vertices = 0
+        self._vertices: tuple[Vertex, ...] | None = None
+        self._tiles: np.ndarray | None = None
+
+    def add_vertices(
+        self,
+        codelet: Codelet,
+        tiles: Sequence[int] | np.ndarray,
+        connections: Mapping[str, tuple[Tensor, object, object]],
+        params: Mapping[str, object] | None = None,
+    ) -> None:
+        """Place ``len(tiles)`` instances of ``codelet``, one per tile entry.
+
+        ``connections`` maps every codelet field to ``(tensor, starts,
+        stops)``: ``(k,)`` arrays with one region per vertex, or scalars
+        every vertex shares (a :class:`Connection` is such a triple).
+        ``params`` maps names to a scalar or a ``(k,)`` array.  Raises
+        :class:`GraphConstructionError` naming the first offending vertex
+        (out-of-bounds region, negative tile, fields that differ from the
+        codelet's).
+        """
+        tiles = np.array(tiles, dtype=np.int64).reshape(-1)
+        count = len(tiles)
+        columns: dict[str, FieldColumns] = {}
+        errors: list[tuple[int, GraphConstructionError]] = []  # check order
+        for field, (tensor, starts, stops) in connections.items():
+            starts = _column(starts, count, f"field {field!r} starts")
+            stops = _column(stops, count, f"field {field!r} stops")
+            bad = _first((starts < 0) | (starts >= stops) | (stops > tensor.size))
+            if bad is not None:
+                errors.append(
+                    (bad, _region_error(tensor, starts.item(bad), stops.item(bad)))
+                )
+            columns[field] = (tensor, starts, stops)
+        bad = _first(tiles < 0)
+        if bad is not None:
+            errors.append((bad, _tile_error(tiles.item(bad))))
+        mismatch = _fields_error(codelet, columns)
+        if mismatch is not None:
+            errors.append((0, mismatch))
+        if errors:
+            raise min(errors, key=lambda error: error[0])[1]
+        if not count:
+            return
+        values = {
+            name: value if np.ndim(value) == 0 else _param_column(value, count, name)
+            for name, value in (params or {}).items()
+        }
+        self.blocks.append(
+            VertexBlock(codelet, tiles, columns, values, self.num_vertices)
+        )
+        self.num_vertices += count
+        self._vertices = self._tiles = None
 
     def add_vertex(
         self,
@@ -180,23 +344,51 @@ class ComputeSet:
         tile: int,
         connections: Mapping[str, Connection],
         params: Mapping[str, float | int] | None = None,
-    ) -> Vertex:
+    ) -> None:
         """Place one codelet instance on ``tile`` and wire its fields."""
-        vertex = Vertex(codelet, tile, dict(connections), dict(params or {}))
-        self.vertices.append(vertex)
-        return vertex
+        self.add_vertices(codelet, (tile,), connections, params)
+
+    @property
+    def vertices(self) -> tuple[Vertex, ...]:
+        """Every vertex in placement order (built on first access)."""
+        if self._vertices is None:
+            self._vertices = tuple(
+                vertex for block in self.blocks for vertex in block.vertices()
+            )
+        return self._vertices
+
+    @property
+    def tiles(self) -> np.ndarray:
+        """Each vertex's tile, in placement order."""
+        if self._tiles is None:
+            self._tiles = np.concatenate(
+                [block.tiles for block in self.blocks]
+                or [np.empty(0, dtype=np.int64)]
+            )
+        return self._tiles
+
+    def field_columns(self) -> Iterator[tuple[Tensor, np.ndarray, ...]]:
+        """Every block's fields as :func:`exchange_account` columns."""
+        width = max((len(block.connections) for block in self.blocks), default=0)
+        for block in self.blocks:
+            order = (block.offset + np.arange(len(block.tiles))) * width
+            for slot, (tensor, starts, stops) in enumerate(
+                block.connections.values()
+            ):
+                yield tensor, starts, stops, block.tiles, order + slot
+
+    def exchange(self, tiles_per_ipu: int | None) -> ExchangeAccount:
+        """Static exchange traffic of one execution of this compute set."""
+        return exchange_account(self.field_columns(), tiles_per_ipu)
 
     @property
     def codelets(self) -> tuple[str, ...]:
         """Distinct codelet names present (ordered by first appearance)."""
-        seen: dict[str, None] = {}
-        for vertex in self.vertices:
-            seen.setdefault(vertex.codelet.name, None)
-        return tuple(seen)
+        return tuple(dict.fromkeys(block.codelet.name for block in self.blocks))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"ComputeSet({self.name!r}, vertices={len(self.vertices)}, "
+            f"ComputeSet({self.name!r}, vertices={self.num_vertices}, "
             f"codelets={self.codelets})"
         )
 
@@ -209,8 +401,19 @@ class ComputeGraph:
         graph = ComputeGraph(IPUSpec.mk2())
         slack = graph.add_tensor("slack", (n, n), np.float32)
         slack.set_mapping(TileMapping.row_blocks((n, n), range(tiles)))
+        mins = graph.add_tensor("mins", (n,), np.float32)
+        mins.set_mapping(TileMapping.row_blocks((n, 1), range(tiles)))
         cs = graph.add_compute_set("row_min")
-        cs.add_vertex(RowMin(), tile, {...}, params={"cols": n})
+        rows = np.arange(tiles + 1) * (n // tiles)  # row-block bounds
+        cs.add_vertices(
+            RowMin(),
+            range(tiles),
+            {
+                "block": (slack, rows[:-1] * n, rows[1:] * n),
+                "mins": (mins, rows[:-1], rows[1:]),
+            },
+            params={"cols": n},
+        )
 
     The graph is then compiled (:func:`repro.ipu.compiler.compile_graph`)
     and executed by :class:`repro.ipu.engine.Engine`.

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.errors import GraphConstructionError
 from repro.ipu.codelets import Codelet, CostContext
-from repro.ipu.graph import ComputeGraph, Connection
+from repro.ipu.graph import ComputeGraph
 from repro.ipu.mapping import TileMapping
 from repro.ipu.programs import Execute, Program, Sequence
 from repro.ipu.tensor import Tensor
@@ -356,15 +356,16 @@ def fold_per_chip(
         mapping=TileMapping.linear_segments(len(slices) * width, width, heads),
     )
     stage = graph.add_compute_set(set_name)
-    for index, (_, start, stop) in enumerate(slices):
-        stage.add_vertex(
-            codelet,
-            heads[index],
-            {
-                "data": Connection(partials, start * width, stop * width),
-                "out": Connection(folded, index * width, (index + 1) * width),
-            },
-        )
+    records = np.array([(start, stop) for _, start, stop in slices]) * width
+    offsets = np.arange(len(slices)) * width
+    stage.add_vertices(
+        codelet,
+        heads,
+        {
+            "data": (partials, records[:, 0], records[:, 1]),
+            "out": (folded, offsets, offsets + width),
+        },
+    )
     return folded, (Execute(stage),)
 
 
@@ -394,24 +395,24 @@ def build_reduce(
     """
     if out.size != 1:
         raise GraphConstructionError("reduce target must be a scalar tensor")
-    intervals = source.require_mapping().intervals
+    mapping = source.require_mapping()
     partials = graph.add_tensor(
         f"{name}/partials",
-        (len(intervals),),
+        (len(mapping),),
         source.dtype,
-        mapping=TileMapping.per_element([iv.tile for iv in intervals]),
+        mapping=TileMapping.per_element(mapping.tiles.tolist()),
     )
     stage1 = graph.add_compute_set(f"{name}/partial")
     codelet = VecReduce(op)
-    for index, interval in enumerate(intervals):
-        stage1.add_vertex(
-            codelet,
-            interval.tile,
-            {
-                "data": Connection(source, interval.start, interval.stop),
-                "out": Connection(partials, index, index + 1),
-            },
-        )
+    index = np.arange(len(mapping))
+    stage1.add_vertices(
+        codelet,
+        mapping.tiles,
+        {
+            "data": (source, mapping.starts, mapping.stops),
+            "out": (partials, index, index + 1),
+        },
+    )
     final_input, stages = fold_per_chip(
         graph, partials, codelet, f"{name}/ipu_partials", f"{name}/ipu"
     )

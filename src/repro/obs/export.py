@@ -859,6 +859,29 @@ def _serve_checks(document: Mapping[str, Any]) -> None:
         )
 
 
+def _finite_number(value: Any) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
+def _finite_row(row: list) -> bool:
+    """Whether every entry is a finite int or float, tested row-wise.
+
+    A fast test that may refuse a good row (a subclass, an overflowing
+    sum), never pass a bad one: ``fsum`` is finite only when every entry
+    converts to a finite float.
+    """
+    if not {type(value) for value in row} <= {int, float}:
+        return False
+    try:
+        return math.isfinite(math.fsum(row))
+    except (OverflowError, ValueError):
+        return False
+
+
 def _solve_request_checks(document: Mapping[str, Any]) -> None:
     costs = document["costs"]
     n = len(costs)
@@ -868,14 +891,15 @@ def _solve_request_checks(document: Mapping[str, Any]) -> None:
             f"solve-request.costs[{index}]",
             f"expected a row of length {n} (square matrix)",
         )
+        if _finite_row(row):
+            continue
         for value in row:
-            _require(
-                isinstance(value, (int, float))
-                and not isinstance(value, bool)
-                and math.isfinite(value),
-                f"solve-request.costs[{index}]",
-                f"expected finite numbers, got {value!r}",
-            )
+            if not _finite_number(value):
+                _require(
+                    False,
+                    f"solve-request.costs[{index}]",
+                    f"expected finite numbers, got {value!r}",
+                )
     from repro.serve.request import QUALITY_TIERS
 
     tier = document.get("tier", "auto")

@@ -9,6 +9,7 @@ from scipy.optimize import linear_sum_assignment
 from repro.core.solver import HunIPUSolver
 from repro.data.synthetic import gaussian_instance
 from repro.errors import SolverError, TileMemoryError
+from repro.ipu.graph import Vertex
 from repro.ipu.spec import IPUSpec
 from repro.lap.problem import LAPInstance
 from repro.lap.validation import check_optimality, check_perfect_matching
@@ -202,3 +203,28 @@ class TestAblationVariants:
             spec=IPUSpec.toy(num_tiles=4), col_segment_size=8
         ).solve(LAPInstance(costs))
         assert base.total_cost == pytest.approx(custom.total_cost)
+
+
+class TestColumnStorage:
+    def test_batched_compile_builds_no_vertex_objects(self, monkeypatch):
+        """Graph build, compile, bind and a solve stay on the columns."""
+        built = []
+        post_init = Vertex.__post_init__
+
+        def counting(vertex):
+            built.append(vertex.codelet.name)
+            post_init(vertex)
+
+        monkeypatch.setattr(Vertex, "__post_init__", counting)
+        solver = HunIPUSolver()
+        compiled = solver.compiled_for(64)
+        for engine in (compiled.engine, compiled.warm_engine):
+            assert engine.compiled.check_report is None  # check="off"
+            assert all(plan.batched for plan in engine.compiled.plans.values())
+        costs = np.random.default_rng(3).integers(0, 100, (64, 64)).astype(float)
+        result = solver.solve(LAPInstance(costs))
+        assert result.total_cost == pytest.approx(_optimum(costs))
+        assert built == []
+        # The counter is live: the per-vertex view builds vertices on demand.
+        compute_set = compiled.graph.compute_sets[0]
+        assert len(compute_set.vertices) == len(built) == compute_set.num_vertices

@@ -96,11 +96,12 @@ class TestExchangeSplit:
             "out", (1,), np.int32, mapping=TileMapping.single_tile(1, tile=0)
         )
         compute_set = graph.add_compute_set("reduce")
-        vertex = compute_set.add_vertex(
+        compute_set.add_vertex(
             VecReduce("sum"),
             0,
             {"data": ComputeGraph.full(data), "out": ComputeGraph.full(out)},
         )
+        (vertex,) = compute_set.vertices
         total, inter = vertex.exchange_bytes_split(spec.num_tiles)
         assert total == 16  # both halves are remote to tile 0
         assert inter == 8  # only the tile-2 half crosses chips

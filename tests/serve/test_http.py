@@ -118,6 +118,17 @@ def test_nan_cost_is_typed_400(client):
     _assert_typed_reject(status, document, "invalid")
 
 
+@pytest.mark.parametrize(
+    "element, shown",
+    [(b"true", "True"), (b'"7"', "'7'"), (b"Infinity", "inf"), (b"-Infinity", "-inf")],
+)
+def test_non_number_or_infinite_cost_is_typed_400(client, element, shown):
+    body = b'{"costs": [[1, 2.5], [3.0, ' + element + b']], "deadline_s": null}'
+    status, document = client.solve_raw(body)
+    _assert_typed_reject(status, document, "invalid")
+    assert f"expected finite numbers, got {shown}" in document["reject"]["detail"]
+
+
 def test_oversized_matrix_is_typed_400(client):
     n = 513  # one past _MAX_MATRIX_N; rejected before full validation
     row = [0.0] * n
