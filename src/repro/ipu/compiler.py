@@ -328,28 +328,22 @@ def _check_vertices(
         )
     for block in compute_set.blocks:
         beyond = np.flatnonzero(block.tiles >= spec.total_tiles)
-
-        def tile_error() -> CompilationError:
-            return CompilationError(
+        # Vertex by vertex: the block's first vertex's tile comes before
+        # its fields (which every vertex of the block shares).
+        if not len(beyond) or beyond[0] > 0:
+            for field, (tensor, _, _) in block.connections.items():
+                if tensor.graph_id != graph.graph_id:
+                    raise CompilationError(
+                        f"vertex field {field!r} in {compute_set.name!r} connects "
+                        f"to tensor {tensor.name!r} from another graph"
+                    )
+                tensor.require_mapping()
+        if len(beyond):
+            raise CompilationError(
                 f"vertex of {block.codelet.name} in {compute_set.name!r} "
                 f"placed on tile {block.tiles[beyond[0]]}, system has "
                 f"{spec.total_tiles}"
             )
-
-        # Vertex by vertex: the block's first vertex's tile, then its
-        # fields (every vertex of a block shares the tensors), then the
-        # remaining tiles.
-        if len(beyond) and beyond[0] == 0:
-            raise tile_error()
-        for field, (tensor, _, _) in block.connections.items():
-            if tensor.graph_id != graph.graph_id:
-                raise CompilationError(
-                    f"vertex field {field!r} in {compute_set.name!r} connects "
-                    f"to tensor {tensor.name!r} from another graph"
-                )
-            tensor.require_mapping()
-        if len(beyond):
-            raise tile_error()
 
 
 def _check_write_overlaps(compute_set: ComputeSet) -> tuple[Tensor, ...]:
