@@ -140,7 +140,7 @@ class MappingPlan:
             self.size, self.col_segment_size, tiles
         )
 
-    def row_regions(self, width: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    def row_regions(self, width: int) -> tuple[np.ndarray, np.ndarray]:
         """Flat ``(starts, stops)`` of every row tile's block, in
         ``row_tiles`` order, for a row-major tensor of ``width`` elements
         per row (``n`` for the matrices, 1 for row state)."""
@@ -148,11 +148,6 @@ class MappingPlan:
             self.rows_per_tile * width
         )
         return starts, starts + self.rows_per_tile * width
-
-    def row_block(self, tile_index: int) -> tuple[int, int]:
-        """Global row range ``[start, stop)`` of the ``tile_index``-th tile."""
-        start = tile_index * self.rows_per_tile
-        return start, start + self.rows_per_tile
 
     def col_segment(self, segment_index: int) -> tuple[int, int]:
         """Global column range of one column-state segment."""

@@ -69,7 +69,7 @@ def build_step1(
 
     row_tiles = plan.row_tiles
     block = (state.slack, *plan.row_regions(n))
-    mins = (row_mins, *plan.row_regions())
+    mins = (row_mins, *plan.row_regions(1))
     partial_blocks = col_partials.require_mapping()
     cs_row_min.add_vertices(
         RowMin(), row_tiles, {"block": block, "mins": mins}, params={"cols": n}

@@ -78,7 +78,7 @@ def build_step2(
     )
 
     row_tiles = plan.row_tiles
-    rows = plan.row_regions()
+    rows = plan.row_regions(1)
     block = (state.compress, *plan.row_regions(n))
     cs_count.add_vertices(
         RowZeroSum(),

@@ -73,7 +73,7 @@ def build_search_reset(
     """Uncover all rows, erase all primes, and arm the inner search loop."""
     cs_rows = graph.add_compute_set("step3/reset_rows")
     cs_primes = graph.add_compute_set("step3/reset_primes")
-    rows = plan.row_regions()
+    rows = plan.row_regions(1)
     cs_rows.add_vertices(
         Fill(), plan.row_tiles, {"data": (state.row_cover, *rows)}, params={"value": 0}
     )

@@ -455,7 +455,7 @@ def build_step4(
     cs_final = graph.add_compute_set("step4/argmax_final")
 
     threads = graph.spec.threads_per_tile
-    rows = plan.row_regions()
+    rows = plan.row_regions(1)
     partial_regions = partials.require_mapping()
     cs_scan.add_vertices(
         ZeroStatusScan(),
@@ -507,7 +507,7 @@ def build_prime_update(
 ) -> Program:
     """Build the max-status-0 action: prime, cover row, uncover star column."""
     cs_rows = graph.add_compute_set("step4/prime_rows")
-    rows = plan.row_regions()
+    rows = plan.row_regions(1)
     cs_rows.add_vertices(
         PrimeRowUpdate(),
         plan.row_tiles,

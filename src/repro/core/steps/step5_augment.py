@@ -247,7 +247,7 @@ def build_step5(
         },
     )
     cs_star_rows = graph.add_compute_set("step5/star_rows")
-    rows = plan.row_regions()
+    rows = plan.row_regions(1)
     cs_star_rows.add_vertices(
         DynStore(),
         plan.row_tiles,

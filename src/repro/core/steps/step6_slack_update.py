@@ -99,7 +99,7 @@ def build_step6(
     cs_partial = graph.add_compute_set("step6/min_partial")
     cs_update = graph.add_compute_set("step6/update")
     block = (state.slack, *plan.row_regions(n))
-    row_cover = (state.row_cover, *plan.row_regions())
+    row_cover = (state.row_cover, *plan.row_regions(1))
     col_cover = ComputeGraph.full(state.col_cover)
     index = np.arange(tiles)
     cs_partial.add_vertices(

@@ -70,7 +70,7 @@ def build_seed_subtract(
     cs_sub_row.add_vertices(
         SubtractRowMin(),
         plan.row_tiles,
-        {"block": block, "mins": (state.row_potential, *plan.row_regions())},
+        {"block": block, "mins": (state.row_potential, *plan.row_regions(1))},
         params={"cols": n},
     )
     cs_sub_col.add_vertices(
@@ -89,7 +89,7 @@ def build_prestar(
     n = plan.size
     cs_feasible = graph.add_compute_set("warm/seed_feasible")
     cs_star = graph.add_compute_set("warm/seed_star")
-    rows = plan.row_regions()
+    rows = plan.row_regions(1)
     cs_feasible.add_vertices(
         SeedFeasible(),
         plan.row_tiles,

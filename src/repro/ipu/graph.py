@@ -116,18 +116,6 @@ class Vertex:
         if error is not None:
             raise error
 
-    def field_columns(self) -> Iterator[tuple[Tensor, np.ndarray, ...]]:
-        """This vertex's connections as :func:`exchange_account` columns."""
-        tiles = np.array([self.tile], dtype=np.int64)
-        for slot, connection in enumerate(self.connections.values()):
-            yield (
-                connection.tensor,
-                np.array([connection.start], dtype=np.int64),
-                np.array([connection.stop], dtype=np.int64),
-                tiles,
-                np.array([slot], dtype=np.int64),
-            )
-
     def exchange_bytes(self) -> int:
         """Bytes this vertex moves over the fabric in one execution.
 
@@ -136,7 +124,7 @@ class Vertex:
         written back (outputs) through the exchange.  This is the static
         quantity the Poplar compiler plans ahead of time.
         """
-        return exchange_account(self.field_columns(), tiles_per_ipu=None).total
+        return self.exchange_bytes_split(tiles_per_ipu=None)[0]
 
     def exchange_bytes_split(
         self, tiles_per_ipu: int | None
@@ -147,7 +135,9 @@ class Vertex:
         a different chip than the vertex (chip = ``tile // tiles_per_ipu``);
         pass ``None`` for single-IPU accounting (inter is then 0).
         """
-        account = exchange_account(self.field_columns(), tiles_per_ipu)
+        compute_set = ComputeSet(self.codelet.name, cs_id=0)
+        compute_set.add_vertex(self.codelet, self.tile, self.connections)
+        account = compute_set.exchange(tiles_per_ipu)
         return account.total, account.inter_ipu
 
 

@@ -38,8 +38,12 @@ class TestRowPlan:
 
     def test_row_block_ranges(self):
         plan = MappingPlan.for_size(12, IPUSpec(num_tiles=4))
-        assert plan.row_block(0) == (0, 3)
-        assert plan.row_block(3) == (9, 12)
+        starts, stops = plan.row_regions(1)
+        assert starts.tolist() == [0, 3, 6, 9]
+        assert stops.tolist() == [3, 6, 9, 12]
+        starts, stops = plan.row_regions(12)
+        assert starts.tolist() == [0, 36, 72, 108]
+        assert stops.tolist() == [36, 72, 108, 144]
 
 
 class TestColumnPlan:
