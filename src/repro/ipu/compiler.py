@@ -102,9 +102,6 @@ class ExecutionPlan:
     #: Tensors some vertex writes (``out``/``inout`` fields), in first-write
     #: order; the engine bumps their :attr:`~repro.ipu.tensor.Tensor.writes`.
     written: tuple[Tensor, ...] = ()
-    #: Sorted distinct codelet names joined by ``/`` (the label of a
-    #: codelet fault).
-    codelet_names: str = ""
     _slot_keys: np.ndarray | None = dataclasses.field(default=None, repr=False)
     _single_slot_per_key: bool = dataclasses.field(default=False, repr=False)
 
@@ -127,6 +124,12 @@ class ExecutionPlan:
     @property
     def batched(self) -> bool:
         return self.codelet is not None
+
+    @property
+    def codelet_names(self) -> str:
+        """Sorted distinct codelet names joined by ``/`` (the label of a
+        codelet fault)."""
+        return "/".join(sorted(self.compute_set.codelets))
 
     def batch_views(self) -> dict[str, np.ndarray]:
         """Every field's batch view, keyed by field name.
@@ -396,7 +399,6 @@ def _build_plan(compute_set: ComputeSet, spec: IPUSpec) -> ExecutionPlan:
             _assign_worker_slots(vertex_tiles, spec.threads_per_tile),
             account.by_tensor,
             ipus,
-            codelet_names="/".join(sorted(names)),
         )
 
     if len(names) != 1:
